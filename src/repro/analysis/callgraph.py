@@ -56,11 +56,6 @@ KNOWN_LOCKS: dict[tuple[str, str, str], str] = {
     ("db/pager.py", "Pager", "_alloc_lock"): "Pager._alloc_lock",
     ("db/pager.py", "BufferPool", "_lock"): "BufferPool._lock",
     ("crowd/runtime.py", "AcquisitionRuntime", "_lock"): "AcquisitionRuntime._lock",
-    (
-        "crowd/runtime.py",
-        "AcquisitionRuntime",
-        "_legacy_cost_lock",
-    ): "AcquisitionRuntime._legacy_cost_lock",
     ("crowd/runtime.py", "AnswerCache", "_lock"): "AnswerCache._lock",
     (
         "crowd/sources.py",
@@ -85,7 +80,6 @@ LOCK_PATH_SUFFIXES: dict[tuple[str, ...], str] = {
     ("wal", "_lock"): "WriteAheadLog._lock",
     ("_stats_lock",): "SimulatedCrowdValueSource._stats_lock",
     ("_seed_lock",): "CrowdPlatform._seed_lock",
-    ("_legacy_cost_lock",): "AcquisitionRuntime._legacy_cost_lock",
 }
 
 #: The physical-operator classes receive the *catalog* lock by injection

@@ -27,16 +27,13 @@ from repro.analysis.core import Finding, Module, Project, Rule, register
 
 __all__ = ["ChargeOnceRule"]
 
-#: Modules allowed to issue value-source dispatches directly.  This
-#: sanctions the runtime itself, the simulated sources, and the physical
-#: operators that dispatch through the runtime (``CrowdFill`` and the
-#: open-world ``CrowdEnumerate``, both in ``db/sql/operators.py``) —
-#: their per-batch costs are charged exactly once by the issuing path.
+#: Modules allowed to issue value-source dispatches directly: the runtime
+#: itself (``AcquisitionRuntime._run_dispatch`` is the one place that
+#: calls a source and charges its cost) and the simulated sources.  The
+#: physical operators reach sources only through the runtime.
 ALLOWED_DISPATCH_MODULES = (
     "crowd/runtime.py",
     "crowd/sources.py",
-    "db/crowd_operators.py",
-    "db/sql/operators.py",
 )
 
 DISPATCH_NAMES = frozenset(

@@ -1,11 +1,14 @@
 """Concurrent crowd-acquisition runtime with cross-query answer caching.
 
 The query engine's acquisition operators
-(:class:`~repro.db.sql.operators.CrowdFill` and
-:class:`~repro.db.sql.operators.PredictFill`) do not talk to a
-:class:`~repro.db.crowd_operators.ValueSource` directly any more: they hand
-their per-attribute HIT-group batches to an :class:`AcquisitionRuntime`,
-which is shared by every connection of a catalog.  The runtime adds the
+(:class:`~repro.db.sql.operators.CrowdFill`,
+:class:`~repro.db.sql.operators.PredictFill` and
+:class:`~repro.db.sql.operators.CrowdEnumerate`) never talk to a
+:class:`~repro.db.acquisition.ValueSource` directly: they hand their
+per-attribute HIT-group batches to an :class:`AcquisitionRuntime`, which is
+shared by every connection of a catalog.  Its ``_run_dispatch`` is the only
+place that calls a source's ``request_values_with_cost``, so it is the only
+place that charges a session for crowd work.  The runtime adds the
 three behaviours that make crowd-backed queries tractable under concurrent
 traffic — crowd latency dominates query time, so the wins come from
 overlapping and deduplicating platform work, not from faster CPU:
@@ -43,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 from repro.crowd.worker_quality import WorkerQualityTracker
+from repro.db.acquisition import ValueSource
 from repro.db.types import is_missing
 
 __all__ = ["AcquisitionRuntime", "AnswerCache", "AnswerCacheStats", "AcquisitionOutcome"]
@@ -244,9 +248,28 @@ class AcquisitionOutcome:
     #: Platform assignments adaptive sizing avoided versus paying
     #: ``max_assignments`` for every settled item.
     assignments_saved: int = 0
-    #: Mean estimated accuracy of the workers that answered this acquire's
-    #: quality-tracked dispatches (None when none ran).
-    mean_worker_accuracy: float | None = None
+    #: Sum and count of the per-dispatch mean worker accuracies reported
+    #: by this acquire's quality-tracked dispatches.
+    worker_accuracy_sum: float = 0.0
+    worker_accuracy_dispatches: int = 0
+
+    def absorb(self, other: "AcquisitionOutcome") -> None:
+        """Add *other*'s counters (not its values) into this outcome."""
+        self.cache_hits += other.cache_hits
+        self.coalesced += other.coalesced
+        self.dispatches += other.dispatches
+        self.cost += other.cost
+        self.assignments_saved += other.assignments_saved
+        self.worker_accuracy_sum += other.worker_accuracy_sum
+        self.worker_accuracy_dispatches += other.worker_accuracy_dispatches
+
+    @property
+    def mean_worker_accuracy(self) -> float | None:
+        """Mean estimated worker accuracy over the quality-tracked
+        dispatches, each weighted equally (None when none ran)."""
+        if not self.worker_accuracy_dispatches:
+            return None
+        return self.worker_accuracy_sum / self.worker_accuracy_dispatches
 
 
 class _PendingBatch:
@@ -310,11 +333,6 @@ class AcquisitionRuntime:
         self._lock = threading.Lock()
         self._in_flight: dict[CellKey, _PendingBatch] = {}
         self._pool: ThreadPoolExecutor | None = None
-        # Serializes dispatches of legacy sources whose cost can only be
-        # observed as a total_cost delta — concurrent sampling would race
-        # and over-charge session budgets.  Sources implementing
-        # request_values_with_cost stay fully concurrent.
-        self._legacy_cost_lock = threading.Lock()
         #: Platform dispatches executed over the runtime's lifetime.
         self.total_dispatches = 0
         #: Cells ever served from the cache / joined onto in-flight work.
@@ -359,7 +377,7 @@ class AcquisitionRuntime:
 
     def acquire(
         self,
-        source: Any,
+        source: ValueSource,
         table: str,
         requests: Sequence[tuple[str, Sequence[tuple[int, dict[str, Any]]]]],
         *,
@@ -521,21 +539,11 @@ class AcquisitionRuntime:
                 session=session,
                 _retry_skipped=False,
             )
-            outcome.cache_hits += sub.cache_hits
-            outcome.coalesced += sub.coalesced
-            outcome.dispatches += sub.dispatches
-            outcome.cost += sub.cost
-            outcome.assignments_saved += sub.assignments_saved
+            outcome.absorb(sub)
             for attribute, values in sub.values.items():
                 outcome.values.setdefault(attribute, {}).update(values)
             for attribute, confidences in sub.confidences.items():
                 outcome.confidences.setdefault(attribute, {}).update(confidences)
-            if sub.mean_worker_accuracy is not None:
-                outcome.mean_worker_accuracy = (
-                    sub.mean_worker_accuracy
-                    if outcome.mean_worker_accuracy is None
-                    else (outcome.mean_worker_accuracy + sub.mean_worker_accuracy) / 2.0
-                )
         return outcome
 
     @staticmethod
@@ -552,11 +560,8 @@ class AcquisitionRuntime:
         outcome.assignments_saved += int(quality.get("assignments_saved", 0))
         accuracy = quality.get("mean_worker_accuracy")
         if accuracy is not None:
-            outcome.mean_worker_accuracy = (
-                float(accuracy)
-                if outcome.mean_worker_accuracy is None
-                else (outcome.mean_worker_accuracy + float(accuracy)) / 2.0
-            )
+            outcome.worker_accuracy_sum += float(accuracy)
+            outcome.worker_accuracy_dispatches += 1
 
     def _abandon_from(
         self,
@@ -579,7 +584,7 @@ class AcquisitionRuntime:
 
     def _run_dispatch(
         self,
-        source: Any,
+        source: ValueSource,
         table: str,
         attribute: str,
         items: list[tuple[int, dict[str, Any]]],
@@ -603,40 +608,30 @@ class AcquisitionRuntime:
                 pending.values = {}
                 pending.skipped = True
                 return 0.0, False
-            quality = getattr(source, "request_values_with_quality", None)
-            detailed = getattr(source, "request_values_with_cost", None)
-            if quality is not None and getattr(source, "quality_enabled", False):
-                # Quality-tracked sources run adaptive assignment sizing
-                # against the runtime's catalog-wide worker tracker; the
-                # session's policy supplies the sizing knobs.
-                values, cost, quality_stats = quality(
-                    attribute,
-                    items,
-                    policy=getattr(session, "policy", None),
-                    tracker=self.worker_quality,
-                )
-                pending.quality = quality_stats or None
-                # Persist the new worker evidence (no-op without a journal
-                # hook; the catalog installs one on its shared runtime).
-                self.worker_quality.flush()
-            elif detailed is not None:
-                values, cost = detailed(attribute, items)
-            elif getattr(source, "total_cost", None) is not None:
-                # Legacy cost observation (total_cost delta) is only exact
-                # when dispatches on the source do not overlap; serialize
-                # them rather than over-charge the budget.
-                with self._legacy_cost_lock:
-                    before = source.total_cost
-                    values = source.request_values(attribute, items)
-                    cost = float(source.total_cost - before)
-            else:
-                values = source.request_values(attribute, items)
-                cost = 0.0
+            # The one dispatch protocol.  attribute and items go
+            # positionally (perfbench's traced expand run reads the items
+            # as args[2]); the session's policy supplies adaptive-sizing
+            # knobs and the catalog-wide tracker collects worker evidence
+            # (flat sources ignore both).
+            dispatch = source.request_values_with_cost(
+                attribute,
+                items,
+                policy=getattr(session, "policy", None),
+                tracker=self.worker_quality,
+            )
+            pending.quality = dispatch.quality or None
+            # Persist new worker evidence (no-op when no worker is dirty or
+            # without a journal hook; the catalog installs one on its
+            # shared runtime).
+            self.worker_quality.flush()
+            cost = float(dispatch.cost)
             if session is not None and cost:
                 with self._lock:  # record_cost is not itself thread-safe
                     session.record_cost(cost)
             resolved = {
-                rowid: value for rowid, value in values.items() if not is_missing(value)
+                rowid: value
+                for rowid, value in dispatch.values.items()
+                if not is_missing(value)
             }
             for rowid, value in resolved.items():
                 self.cache.put(table, attribute, rowid, value)

@@ -1,15 +1,18 @@
 """Batched value sources bridging the crowd platform to the query engine.
 
-The query engine's ``CrowdFill`` operator acquires MISSING attribute values
-through the narrow :class:`~repro.db.crowd_operators.ValueSource` protocol:
-one ``request_values(attribute, items)`` call per coalesced batch.  This
-module provides the production-shaped implementation of that protocol on
-top of the simulated crowd platform: every batch becomes exactly one
-:class:`~repro.crowd.hit.HITGroup` dispatched to a
+The query engine acquires MISSING attribute values through the narrow
+:class:`~repro.db.acquisition.ValueSource` protocol: one
+``request_values_with_cost(attribute, items)`` call per coalesced batch,
+returning a :class:`~repro.db.acquisition.Dispatch` of values and cost.
+This module provides the production-shaped implementation of that protocol
+on top of the simulated crowd platform: in flat mode every batch becomes
+exactly one :class:`~repro.crowd.hit.HITGroup` dispatched to a
 :class:`~repro.crowd.platform.CrowdPlatform`, with the answers aggregated
-by majority vote.  Set-oriented acquisition — one HIT group per batch per
-attribute instead of one crowd round-trip per row — is what makes crowd
-latency and cost tractable at query time.
+by majority vote (adaptive-quality and enumeration modes are described on
+:meth:`SimulatedCrowdValueSource.request_values_with_cost`).
+Set-oriented acquisition — one HIT group per batch per attribute instead
+of one crowd round-trip per row — is what makes crowd latency and cost
+tractable at query time.
 
 The source is **thread-safe**: the
 :class:`~repro.crowd.runtime.AcquisitionRuntime` dispatches batches for
@@ -34,7 +37,7 @@ from repro.crowd.platform import CrowdPlatform, CrowdRunResult
 from repro.crowd.quality_control import QualityControl
 from repro.crowd.worker import WorkerPool
 from repro.crowd.worker_quality import WorkerQualityTracker
-from repro.db.acquisition import AcquisitionPolicy
+from repro.db.acquisition import AcquisitionPolicy, Dispatch
 from repro.db.types import is_missing
 from repro.utils.rng import RandomState, derive_seed, ensure_rng
 
@@ -171,10 +174,10 @@ class SimulatedCrowdValueSource:
             if gold_answers is not None
             else {}
         )
-        #: Whether the runtime should route this source's dispatches
-        #: through :meth:`request_values_with_quality` (accuracy-weighted
-        #: aggregation + adaptive assignment sizing).  Defaults on when
-        #: gold answers or per-worker error rates were configured.
+        #: Whether dispatches run in adaptive-quality mode
+        #: (accuracy-weighted aggregation + adaptive assignment sizing).
+        #: Defaults on when gold answers or per-worker error rates were
+        #: configured.
         self.quality_enabled = (
             bool(self._gold or worker_error_rates) if quality is None else bool(quality)
         )
@@ -187,27 +190,33 @@ class SimulatedCrowdValueSource:
         self.total_assignments = 0
         self.runs: list[CrowdRunResult] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
-        """Answer one batch: dispatch a single HIT group for *attribute*.
+    def request_values_with_cost(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: AcquisitionPolicy | None = None,
+        tracker: WorkerQualityTracker | None = None,
+    ) -> Dispatch:
+        """Answer one batch — the source's single dispatch entry point.
+
+        The mode follows from the request and the source's configuration:
+
+        * an enumeration attribute (see
+          :func:`~repro.crowd.estimation.enumeration_predicate`) runs one
+          open-world HIT batch per item (:meth:`_enumerate_batch`);
+        * with ``quality_enabled`` the batch runs adaptive assignment
+          sizing with accuracy-weighted votes (:meth:`_quality_batch`),
+          sized by *policy* and feeding *tracker*;
+        * otherwise one HIT group at the fixed ``judgments_per_item`` is
+          aggregated by majority vote (:meth:`_flat_batch`).
 
         Rows whose *key_column* is NULL/MISSING cannot be mapped to a
-        platform item and stay unanswered; items without a clear majority
-        are likewise omitted, leaving their cells MISSING.
-        """
-        values, _cost = self.request_values_with_cost(attribute, items)
-        return values
-
-    def request_values_with_cost(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
-        """Like :meth:`request_values`, also returning this dispatch's cost.
-
-        The per-dispatch cost lets the
-        :class:`~repro.crowd.runtime.AcquisitionRuntime` charge session
-        budgets exactly even when several dispatches run concurrently
-        (sampling ``total_cost`` deltas would race).
+        platform item and stay unanswered, as do items without a clear
+        majority.  The returned :class:`~repro.db.acquisition.Dispatch`
+        carries this dispatch's own cost, so the
+        :class:`~repro.crowd.runtime.AcquisitionRuntime` charges session
+        budgets exactly even when several dispatches run concurrently.
         """
         predicate = enumeration_predicate(attribute)
         if predicate is not None:
@@ -219,8 +228,15 @@ class SimulatedCrowdValueSource:
                 continue
             rowid_to_item[rowid] = int(key)
         if not rowid_to_item:
-            return {}, 0.0
+            return Dispatch({}, 0.0)
+        if self.quality_enabled:
+            return self._quality_batch(
+                attribute, rowid_to_item, policy or AcquisitionPolicy(), tracker
+            )
+        return self._flat_batch(attribute, rowid_to_item)
 
+    def _flat_batch(self, attribute: str, rowid_to_item: dict[int, int]) -> Dispatch:
+        """One HIT group at ``judgments_per_item``, majority-aggregated."""
         item_ids = sorted(set(rowid_to_item.values()))
         group = HITGroup(
             question=Question(
@@ -263,16 +279,15 @@ class SimulatedCrowdValueSource:
             for rowid, item_id in rowid_to_item.items()
             if item_id in labels
         }
-        return values, result.total_cost
+        return Dispatch(values, result.total_cost)
 
-    def request_values_with_quality(
+    def _quality_batch(
         self,
         attribute: str,
-        items: Sequence[tuple[int, dict[str, Any]]],
-        *,
-        policy: AcquisitionPolicy | None = None,
-        tracker: WorkerQualityTracker | None = None,
-    ) -> tuple[dict[int, Any], float, dict[str, Any]]:
+        rowid_to_item: dict[int, int],
+        policy: AcquisitionPolicy,
+        tracker: WorkerQualityTracker | None,
+    ) -> Dispatch:
         """Quality-tracked batch: adaptive sizing + accuracy-weighted votes.
 
         Instead of one dispatch at a fixed ``judgments_per_item``, the
@@ -286,27 +301,12 @@ class SimulatedCrowdValueSource:
         (``gold_fraction``) whose known answers feed the tracker; settled
         labels feed it agreement evidence.
 
-        Returns ``(values, cost, stats)`` where ``stats`` carries the
-        per-rowid posterior ``confidences``, the billable ``assignments``
-        completed, ``assignments_saved`` versus paying ``max_assignments``
-        for every item, the ``rounds`` dispatched, ``gold_injected`` and
-        the ``mean_worker_accuracy`` over the workers seen.
+        The dispatch's ``quality`` stats carry the per-rowid posterior
+        ``confidences``, the billable ``assignments`` completed,
+        ``assignments_saved`` versus paying ``max_assignments`` for every
+        item, the ``rounds`` dispatched, ``gold_injected`` and the
+        ``mean_worker_accuracy`` over the workers seen.
         """
-        predicate = enumeration_predicate(attribute)
-        if predicate is not None:
-            values, cost = self._enumerate_batch(predicate, items)
-            return values, cost, {}
-        if policy is None:
-            policy = AcquisitionPolicy()
-        rowid_to_item: dict[int, int] = {}
-        for rowid, row in items:
-            key = row.get(self.key_column)
-            if key is None or is_missing(key):
-                continue
-            rowid_to_item[rowid] = int(key)
-        if not rowid_to_item:
-            return {}, 0.0, {}
-
         item_ids = sorted(set(rowid_to_item.values()))
         truth = self._truth.get(attribute, {})
         # Gold items must be disjoint from the batch: an item cannot both
@@ -432,7 +432,7 @@ class SimulatedCrowdValueSource:
             for rowid, item_id in rowid_to_item.items()
             if item_id in labels
         }
-        stats: dict[str, Any] = {
+        quality: dict[str, Any] = {
             "confidences": {
                 rowid: confidences[item_id]
                 for rowid, item_id in rowid_to_item.items()
@@ -448,13 +448,13 @@ class SimulatedCrowdValueSource:
                 else None
             ),
         }
-        return values, cost, stats
+        return Dispatch(values, cost, quality)
 
     # -- enumeration mode ----------------------------------------------------
 
     def _enumerate_batch(
         self, predicate: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> tuple[dict[int, Any], float]:
+    ) -> Dispatch:
         """Answer one open-world enumeration HIT batch for *predicate*.
 
         Each item id is a *batch index*, not a rowid; the answer for a
@@ -481,7 +481,7 @@ class SimulatedCrowdValueSource:
                     universe = candidate
                     break
         if not universe:
-            return {batch_index: [] for batch_index, _row in items}, 0.0
+            return Dispatch({batch_index: [] for batch_index, _row in items}, 0.0)
 
         count = self.answers_per_batch or self.items_per_hit
         weights = [1.0 / (rank + 1) for rank in range(len(universe))]
@@ -500,4 +500,4 @@ class SimulatedCrowdValueSource:
         with self._stats_lock:
             self.dispatches += len(items)
             self.total_cost += cost
-        return values, cost
+        return Dispatch(values, cost)

@@ -17,7 +17,11 @@ the planner-side machinery for that trade-off:
   operator on top of :class:`~repro.db.sql.operators.CrowdFill`;
 * the :class:`AttributePredictor` protocol that decouples the query engine
   from the concrete perceptual-space models (see
-  :class:`repro.core.prediction.PerceptualPredictor`).
+  :class:`repro.core.prediction.PerceptualPredictor`);
+* the :class:`ValueSource` protocol — the one way the engine buys crowd
+  values: one ``request_values_with_cost`` call per dispatched batch,
+  returning a :class:`Dispatch` (see
+  :class:`repro.crowd.sources.SimulatedCrowdValueSource`).
 
 Everything here is deterministic: the coverage-driven sample is chosen by
 evenly spacing picks over the ordered candidate rowids, so the same table
@@ -28,9 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Protocol, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, NamedTuple, Protocol, Sequence
 
 from repro.errors import ExecutionError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.crowd.runtime import AcquisitionRuntime
+    from repro.crowd.worker_quality import WorkerQualityTracker
 
 #: Provenance tags recorded for acquired cells.
 PROVENANCE_STORED = "stored"
@@ -111,9 +119,9 @@ class AcquisitionPolicy:
     min_assignments, max_assignments:
         Judgments-per-item bounds of adaptive sizing: every item starts
         with ``min_assignments`` judgments, and unconfident items buy more
-        in later rounds up to ``max_assignments``.  Only quality-capable
-        value sources (``request_values_with_quality``) consult these; the
-        flat path keeps its source-configured ``judgments_per_item``.
+        in later rounds up to ``max_assignments``.  Only value sources
+        running in quality mode consult these; the flat path keeps its
+        source-configured ``judgments_per_item``.
     """
 
     sample_fraction: float = 0.25
@@ -363,6 +371,54 @@ class AttributePredictor(Protocol):
         ...  # pragma: no cover - protocol definition
 
 
+# ---------------------------------------------------------------------------
+# Value-source protocol
+# ---------------------------------------------------------------------------
+
+
+class Dispatch(NamedTuple):
+    """What one value-source dispatch returns.
+
+    ``values`` maps rowids to answers (a source may answer fewer items than
+    it was asked), ``cost`` is the dollars this dispatch charged on the
+    platform, and ``quality`` carries the per-dispatch quality stats of an
+    adaptive-quality dispatch — ``confidences`` (rowid -> posterior
+    confidence), ``assignments_saved`` and ``mean_worker_accuracy`` — or
+    ``None`` for a flat dispatch.
+    """
+
+    values: dict[int, Any]
+    cost: float
+    quality: dict[str, Any] | None = None
+
+
+class ValueSource(Protocol):
+    """Anything the engine can buy crowd values from, one batch at a time.
+
+    :meth:`~repro.crowd.runtime.AcquisitionRuntime._run_dispatch` is the
+    only caller: every ``CrowdFill`` batch and every ``CrowdEnumerate`` HIT
+    batch becomes exactly one call, and the returned ``cost`` is charged
+    to the session exactly once.
+    """
+
+    def request_values_with_cost(
+        self,
+        attribute: str,
+        items: Sequence[tuple[int, dict[str, Any]]],
+        *,
+        policy: AcquisitionPolicy | None = None,
+        tracker: "WorkerQualityTracker | None" = None,
+    ) -> Dispatch:
+        """Answer one batch of ``(rowid, row)`` items for *attribute*.
+
+        *policy* is the session's acquisition policy and *tracker* the
+        runtime's catalog-wide worker-quality tracker; a source that sizes
+        assignments adaptively reads its knobs from the former and feeds
+        worker evidence to the latter, a flat source ignores both.
+        """
+        ...  # pragma: no cover - protocol definition
+
+
 @dataclass
 class PredictSpec:
     """How a query should predict MISSING crowd-sourced values.
@@ -373,18 +429,18 @@ class PredictSpec:
     the planner-chosen sample, the predictor trains on every known value
     streaming by and fills the rest, tagging provenance and confidence.
 
-    ``runtime`` optionally names the session's
-    :class:`~repro.crowd.runtime.AcquisitionRuntime`; the operator then
-    routes its training/prediction steps through the runtime's accounting
+    ``runtime`` is the session's
+    :class:`~repro.crowd.runtime.AcquisitionRuntime`; the operator routes
+    its training/prediction steps through the runtime's accounting
     chokepoint so all acquisition work — platform dispatches *and* model
     fits — shows up in one place.
     """
 
     predictor: AttributePredictor
+    runtime: "AcquisitionRuntime"
     policy: AcquisitionPolicy = field(default_factory=AcquisitionPolicy)
     write_back: bool = True
     session: Any = None
-    runtime: Any = None
 
     def remaining_budget(self) -> float | None:
         """Money the session may still spend (None = unlimited)."""

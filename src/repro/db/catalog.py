@@ -38,7 +38,7 @@ class Catalog:
         #: session-private runtimes that registered for cell invalidations.
         #: Weakly referenced: a session dropping its private runtime must
         #: not pin its cache and worker pool for the catalog's lifetime.
-        self._runtime: "AcquisitionRuntime | None" = None
+        self._shared_runtime: "AcquisitionRuntime | None" = None
         self._runtimes: "weakref.WeakSet[AcquisitionRuntime]" = weakref.WeakSet()
         #: The durability manager of a persistent catalog (None in memory).
         #: Installed by :meth:`attach_durability` after recovery completes.
@@ -83,14 +83,15 @@ class Catalog:
         from repro.crowd.runtime import AcquisitionRuntime  # lazy: crowd imports db
 
         with self.lock:
-            if self._runtime is None:
-                self._runtime = AcquisitionRuntime(**knobs)
+            shared = self._shared_runtime
+            if shared is None:
+                shared = self._shared_runtime = AcquisitionRuntime(**knobs)
                 # Only the catalog-shared runtime journals worker evidence:
                 # session-private runtimes are read-only consumers of the
                 # persisted stats (they warm-start on register_runtime).
-                self._runtime.worker_quality.journal = self.record_worker_stats
-                self.register_runtime(self._runtime)
-            return self._runtime
+                shared.worker_quality.journal = self.record_worker_stats
+                self.register_runtime(shared)
+            return shared
 
     def register_runtime(self, runtime: "AcquisitionRuntime") -> None:
         """Subscribe *runtime* to this catalog's cell invalidations.

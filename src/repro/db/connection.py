@@ -51,6 +51,7 @@ from repro.errors import ExecutionError, UnknownColumnError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core imports db)
     from repro.core.ledger import ExpansionLedger
+    from repro.crowd.runtime import AcquisitionRuntime
     from repro.core.schema_expansion import ExpansionPipeline
 
 #: Signature of the query-driven schema-expansion hook: ``(table, column)``
@@ -162,7 +163,7 @@ class SessionContext:
         Optional budget in dollars.  Once ``cost_spent`` reaches it the
         session refuses further crowd-backed schema expansions.
     value_source:
-        Optional batch :class:`~repro.db.crowd_operators.ValueSource`.
+        Optional batch :class:`~repro.db.acquisition.ValueSource`.
         When set, queries referencing crowd-sourced (perceptual) columns
         get a ``CrowdFill`` operator in their physical plan that acquires
         MISSING values in coalesced batches of ``crowd_batch_size`` rows —
@@ -279,35 +280,35 @@ class SessionContext:
         self.runtime = runtime
         self.on_runtime_knobs_ignored = on_runtime_knobs_ignored
 
-    def crowd_spec(self, runtime: Any = None) -> CrowdFillSpec | None:
+    def crowd_spec(self, runtime: "AcquisitionRuntime") -> CrowdFillSpec | None:
         """The batch crowd-fill configuration, or None when not set up.
 
         The session itself rides along as the budget hook: batch crowd
-        spending is charged to ``cost_spent`` (for cost-aware sources) and
-        stops once ``budget_exhausted``.  *runtime* is the acquisition
-        runtime the operator should dispatch through (the session's own
-        one wins over the caller-provided default).
+        spending is charged to ``cost_spent`` and stops once
+        ``budget_exhausted``.  *runtime* is the acquisition runtime the
+        operator dispatches through (see
+        :meth:`Connection.acquisition_runtime`).
         """
         if self.value_source is None:
             return None
         return CrowdFillSpec(
             source=self.value_source,
+            runtime=runtime,
             batch_size=self.crowd_batch_size,
             write_back=self.crowd_write_back,
             session=self,
-            runtime=self.runtime if self.runtime is not None else runtime,
         )
 
-    def predict_spec(self, runtime: Any = None) -> PredictSpec | None:
+    def predict_spec(self, runtime: "AcquisitionRuntime") -> PredictSpec | None:
         """The prediction-stage configuration, or None when no predictor."""
         if self.predictor is None:
             return None
         return PredictSpec(
             predictor=self.predictor,
+            runtime=runtime,
             policy=self.acquisition,
             write_back=self.crowd_write_back,
             session=self,
-            runtime=self.runtime if self.runtime is not None else runtime,
         )
 
     @property
@@ -984,7 +985,7 @@ class Connection:
         if overrides:
             self.session.policy = self.session.policy.with_overrides(**overrides)
 
-    def set_acquisition_runtime(self, runtime: Any) -> None:
+    def set_acquisition_runtime(self, private: "AcquisitionRuntime | None") -> None:
         """Install a session-private acquisition runtime (None = shared).
 
         By default crowd acquisition dispatches through the catalog's
@@ -994,11 +995,11 @@ class Connection:
         The runtime is registered with the catalog either way so direct
         UPDATEs keep invalidating its cached answers.
         """
-        self.session.runtime = runtime
-        if runtime is not None:
-            self.catalog.register_runtime(runtime)
+        self.session.runtime = private
+        if private is not None:
+            self.catalog.register_runtime(private)
 
-    def acquisition_runtime(self) -> Any:
+    def acquisition_runtime(self) -> "AcquisitionRuntime":
         """The runtime this connection's crowd acquisition dispatches through.
 
         Returns the session-private runtime when one is installed,
@@ -1006,13 +1007,13 @@ class Connection:
         the session's ``max_concurrent_batches`` / ``answer_cache_size`` /
         ``answer_cache_ttl`` knobs on first use.
         """
-        runtime = self.session.runtime
-        if runtime is not None:
+        private = self.session.runtime
+        if private is not None:
             # register_runtime is an idempotent lock-guarded WeakSet.add;
             # calling it unconditionally keeps the session free to swap
             # runtimes without extra bookkeeping here.
-            self.catalog.register_runtime(runtime)
-            return runtime
+            self.catalog.register_runtime(private)
+            return private
         shared = self.catalog.acquisition_runtime(
             max_concurrent_batches=self.session.max_concurrent_batches,
             cache_size=self.session.answer_cache_size,

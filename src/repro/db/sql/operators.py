@@ -11,11 +11,11 @@ operators, each a pull-based iterator:
   copying rows lazily as they are pulled;
 * :class:`CrowdFill` — the crowd-acquisition operator.  It watches the rows
   streaming out of a scan for MISSING values of crowd-sourced (perceptual)
-  attributes and dispatches them to a batch :class:`ValueSource` in
-  configurable batches: one coalesced platform call per attribute per
-  ``batch_size`` missing rows instead of one resolver call per row.  When
-  the session has an :class:`~repro.crowd.runtime.AcquisitionRuntime`
-  (connections always do), the dispatches go through it: per-attribute
+  attributes and acquires them from a batch
+  :class:`~repro.db.acquisition.ValueSource` in configurable batches: one
+  coalesced platform call per attribute per ``batch_size`` missing rows
+  instead of one resolver call per row.  Every batch goes through the
+  session's :class:`~repro.crowd.runtime.AcquisitionRuntime`: per-attribute
   batches execute concurrently on a bounded worker pool, repeat requests
   are served from the cross-query answer cache, and cells another query is
   already acquiring are coalesced onto that in-flight dispatch.  Under
@@ -107,7 +107,7 @@ from repro.errors import ExecutionError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.crowd.runtime import AcquisitionRuntime
-    from repro.db.crowd_operators import ValueSource
+    from repro.db.acquisition import ValueSource
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +122,17 @@ class CrowdFillSpec:
     Parameters
     ----------
     source:
-        A batch :class:`~repro.db.crowd_operators.ValueSource`; each
-        ``request_values`` call corresponds to one coalesced crowd dispatch
-        (e.g. one HIT group on the simulated platform).
+        A batch :class:`~repro.db.acquisition.ValueSource`; each
+        ``request_values_with_cost`` call corresponds to one coalesced crowd
+        dispatch (e.g. one HIT group on the simulated platform).
+    runtime:
+        The :class:`~repro.crowd.runtime.AcquisitionRuntime` the operator
+        dispatches through.  The runtime executes the per-attribute
+        batches concurrently on its bounded worker pool, serves repeat
+        requests from its cross-query
+        :class:`~repro.crowd.runtime.AnswerCache`, coalesces duplicate
+        cells with other in-flight queries and charges each dispatch's
+        cost to *session*.
     batch_size:
         Number of missing rows coalesced into one platform call.  N missing
         rows for one attribute produce ``ceil(N / batch_size)`` calls.
@@ -135,26 +143,15 @@ class CrowdFillSpec:
         Optional session-budget hook (duck-typed: ``budget_exhausted`` and
         ``record_cost(cost)``, i.e. a
         :class:`~repro.db.connection.SessionContext`).  When set, no batch
-        is dispatched once the budget is exhausted, and sources that track
-        spending through a ``total_cost`` attribute (e.g.
-        :class:`~repro.crowd.sources.SimulatedCrowdValueSource`) have each
-        dispatch's cost charged against the session.
-    runtime:
-        Optional :class:`~repro.crowd.runtime.AcquisitionRuntime` the
-        operator dispatches through.  The runtime executes the
-        per-attribute batches concurrently on its bounded worker pool,
-        serves repeat requests from its cross-query
-        :class:`~repro.crowd.runtime.AnswerCache` and coalesces duplicate
-        cells with other in-flight queries.  Without one (``None``, the
-        bare-executor path) batches are dispatched directly and
-        sequentially.
+        is dispatched once the budget is exhausted, and each dispatch's
+        cost is charged against the session.
     """
 
     source: "ValueSource"
+    runtime: "AcquisitionRuntime"
     batch_size: int = 50
     write_back: bool = True
     session: Any = None
-    runtime: "AcquisitionRuntime | None" = None
 
     def __post_init__(self) -> None:
         if self.batch_size <= 0:
@@ -582,10 +579,12 @@ class CrowdFill(Operator):
 
     Sits directly above a table's scan.  Rows stream through in input
     order; whenever ``batch_size`` rows with at least one MISSING watched
-    attribute have accumulated (or the input is exhausted), one coalesced
-    ``request_values`` call per attribute is dispatched to the batch
-    source.  Obtained values are patched into the in-flight rows and, when
-    ``write_back`` is set, persisted to storage under the catalog lock.
+    attribute have accumulated (or the input is exhausted), the batch is
+    handed to the acquisition runtime, which dispatches one coalesced
+    platform call per attribute for the cells it cannot serve from its
+    cache or from another query's in-flight dispatch.  Obtained values are
+    patched into the in-flight rows and, when ``write_back`` is set,
+    persisted to storage under the catalog lock.
 
     Contract: N missing rows for one attribute produce
     ``ceil(N / batch_size)`` platform calls — never one call per row.
@@ -612,6 +611,8 @@ class CrowdFill(Operator):
         sample: Mapping[str, frozenset[int]] | None = None,
         reacquire: Mapping[str, frozenset[int]] | None = None,
     ) -> None:
+        from repro.crowd.runtime import AcquisitionOutcome  # lazy: crowd imports db
+
         super().__init__(child)
         self._catalog = catalog
         self.table = table
@@ -620,21 +621,14 @@ class CrowdFill(Operator):
         self._lock = lock if lock is not None else nullcontext()
         self.sample = dict(sample) if sample is not None else None
         self.reacquire = {key: frozenset(value) for key, value in (reacquire or {}).items()}
-        #: Number of coalesced platform calls dispatched (per attribute).
-        self.batches_dispatched = 0
         #: Number of missing values requested from the source.
         self.values_requested = 0
         #: Number of values actually obtained and patched in.
         self.values_filled = 0
-        #: Cells served from the runtime's cross-query AnswerCache.
-        self.cache_hits = 0
-        #: Cells joined onto another query's in-flight platform dispatch.
-        self.coalesced = 0
-        #: Platform assignments adaptive sizing avoided (quality dispatches).
-        self.assignments_saved = 0
-        #: Mean estimated accuracy of the workers behind this operator's
-        #: quality-tracked dispatches (None when none ran).
-        self.mean_worker_accuracy: float | None = None
+        #: Counters summed over every flush's acquisition outcome:
+        #: platform dispatches, cache hits, coalesced cells, assignments
+        #: saved and the per-dispatch worker-accuracy mean.
+        self.acquired = AcquisitionOutcome()
         #: attribute -> rowid -> posterior confidence of quality dispatches;
         #: written back as provenance confidence so low-confidence crowd
         #: cells feed the re-acquisition loop.
@@ -690,16 +684,12 @@ class CrowdFill(Operator):
             ]
             if items:
                 requests.append((attribute, items))
-        if self.spec.runtime is not None:
-            self._flush_through_runtime(requests)
-        else:
-            self._flush_direct(requests)
+        if requests:
+            self._acquire(requests)
         return pending
 
-    def _flush_through_runtime(
-        self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]
-    ) -> None:
-        """Resolve the flush through the shared acquisition runtime.
+    def _acquire(self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]) -> None:
+        """Resolve one flush through the shared acquisition runtime.
 
         The runtime serves what it can from the cross-query answer cache,
         joins cells another query is already acquiring, and dispatches the
@@ -707,8 +697,6 @@ class CrowdFill(Operator):
         pool — the wall-clock win on multi-attribute queries.  Budget cost
         for the dispatches this flush owns is charged inside the runtime.
         """
-        if not requests:
-            return
         outcome = self.spec.runtime.acquire(
             self.spec.source,
             self.table,
@@ -718,39 +706,12 @@ class CrowdFill(Operator):
             ],
             session=self.spec.session,
         )
-        self.batches_dispatched += outcome.dispatches
-        self.cache_hits += outcome.cache_hits
-        self.coalesced += outcome.coalesced
-        self.assignments_saved += outcome.assignments_saved
-        if outcome.mean_worker_accuracy is not None:
-            self.mean_worker_accuracy = (
-                outcome.mean_worker_accuracy
-                if self.mean_worker_accuracy is None
-                else (self.mean_worker_accuracy + outcome.mean_worker_accuracy) / 2.0
-            )
+        self.acquired.absorb(outcome)
         for attribute, confidences in outcome.confidences.items():
             self._cell_confidences.setdefault(attribute, {}).update(confidences)
         for attribute, items in requests:
             self.values_requested += len(items)
             self._apply_resolved(attribute, items, outcome.values.get(attribute, {}))
-
-    def _flush_direct(
-        self, requests: list[tuple[str, list[tuple[int, dict[str, Any]]]]]
-    ) -> None:
-        """Legacy runtime-less path: one sequential dispatch per attribute."""
-        session = self.spec.session
-        for attribute, items in requests:
-            if session is not None and session.budget_exhausted:
-                break
-            cost_before = getattr(self.spec.source, "total_cost", None)
-            values = self.spec.source.request_values(
-                attribute, [(rowid, dict(row)) for rowid, row in items]
-            )
-            self.batches_dispatched += 1
-            if session is not None and cost_before is not None:
-                session.record_cost(self.spec.source.total_cost - cost_before)
-            self.values_requested += len(items)
-            self._apply_resolved(attribute, items, values)
 
     def _apply_resolved(
         self,
@@ -793,10 +754,7 @@ class CrowdFill(Operator):
                         # value is authoritative.  The cache may hold our
                         # answer (the UPDATE's invalidation can have fired
                         # before the dispatch cached it) — evict it.
-                        if self.spec.runtime is not None:
-                            self.spec.runtime.cache.invalidate(
-                                self.table, attribute, rowid
-                            )
+                        self.spec.runtime.cache.invalidate(self.table, attribute, rowid)
                         continue
                     writable[rowid] = value
                 if writable:
@@ -824,16 +782,16 @@ class CrowdFill(Operator):
         return f"CrowdFill({options}) {self.detail()}"
 
     def extra_stats(self) -> list[str]:
+        acquired = self.acquired
         parts = [
-            f"batches={self.batches_dispatched}",
+            f"batches={acquired.dispatches}",
             f"filled={self.values_filled}/{self.values_requested}",
+            f"cache_hits={acquired.cache_hits}",
+            f"coalesced={acquired.coalesced}",
         ]
-        if self.spec.runtime is not None:
-            parts.append(f"cache_hits={self.cache_hits}")
-            parts.append(f"coalesced={self.coalesced}")
-        if self.mean_worker_accuracy is not None:
-            parts.append(f"mean_worker_accuracy={self.mean_worker_accuracy:.3f}")
-            parts.append(f"assignments_saved={self.assignments_saved}")
+        if acquired.mean_worker_accuracy is not None:
+            parts.append(f"mean_worker_accuracy={acquired.mean_worker_accuracy:.3f}")
+            parts.append(f"assignments_saved={acquired.assignments_saved}")
         return parts
 
 
@@ -924,20 +882,16 @@ class PredictFill(Operator):
             for rowid, row in rows
             if not is_missing(row.get(attribute)) and rowid not in previously_predicted
         ]
-        def fit_predict():
-            return self.spec.predictor.fit_predict(
+        # Train/predict through the runtime's accounting chokepoint
+        # (inline — prediction is CPU work and must not occupy the
+        # platform dispatch pool).
+        batch = self.spec.runtime.run_prediction(
+            lambda: self.spec.predictor.fit_predict(
                 attribute,
                 [(rowid, dict(row), value) for rowid, row, value in train],
                 [(rowid, dict(row)) for rowid, row in targets],
             )
-
-        # Train/predict through the runtime's accounting chokepoint when
-        # one is configured (inline — prediction is CPU work and must not
-        # occupy the platform dispatch pool).
-        if self.spec.runtime is not None:
-            batch = self.spec.runtime.run_prediction(fit_predict)
-        else:
-            batch = fit_predict()
+        )
         self.model_kinds[attribute] = batch.model_kind
         self.training_sizes[attribute] = batch.training_size
         if batch.rmse is not None:
@@ -1027,9 +981,13 @@ class CrowdEnumerateSpec:
     Parameters
     ----------
     source:
-        Batch :class:`~repro.db.crowd_operators.ValueSource`; each HIT
-        batch is one ``request_values`` call whose single "row" is the
+        Batch :class:`~repro.db.acquisition.ValueSource`; each HIT batch is
+        one ``request_values_with_cost`` call whose single "row" is the
         batch index and whose answer is a *list* of worker answers.
+    runtime:
+        The :class:`~repro.crowd.runtime.AcquisitionRuntime` every batch
+        goes through — batch answers are cached and coalesced exactly like
+        closed-world fills.
     predicate:
         Natural-language description posted to workers.
     completeness:
@@ -1045,9 +1003,6 @@ class CrowdEnumerateSpec:
     session:
         Optional session-budget hook (duck-typed ``budget_exhausted`` /
         ``record_cost``), as in :class:`CrowdFillSpec`.
-    runtime:
-        Optional :class:`~repro.crowd.runtime.AcquisitionRuntime` — batch
-        answers are cached and coalesced exactly like closed-world fills.
     dry_batches:
         Stop after this many consecutive batches with no new species
         (``stopped_on == "exhausted"``) — the open-world analogue of
@@ -1068,11 +1023,11 @@ class CrowdEnumerateSpec:
     """
 
     source: "ValueSource"
+    runtime: "AcquisitionRuntime"
     predicate: str
     completeness: Optional[float] = None
     budget: Optional[float] = None
     session: Any = None
-    runtime: "AcquisitionRuntime | None" = None
     dry_batches: int = 3
     max_batches: int = 256
     existing_keys: frozenset[str] = frozenset()
@@ -1116,16 +1071,17 @@ class CrowdEnumerate(Operator):
     label = "CrowdEnumerate"
 
     def __init__(self, spec: CrowdEnumerateSpec) -> None:
+        from repro.crowd.runtime import AcquisitionOutcome  # lazy: crowd imports db
+
         super().__init__()
         self.spec = spec
         self.estimator = Chao92Estimator()
         #: Batches pulled (platform dispatches + cache/coalesced replays).
         self.batches_pulled = 0
-        #: Actual platform dispatches (what the crowd was paid for).
-        self.batches_dispatched = 0
-        self.cache_hits = 0
-        self.coalesced = 0
-        self.cost_spent = 0.0
+        #: Counters summed over every batch's acquisition outcome: actual
+        #: platform dispatches (what the crowd was paid for), cache hits,
+        #: coalesced batches and dollars spent.
+        self.acquired = AcquisitionOutcome()
         self.rows_enumerated = 0
         #: Why the enumeration loop ended: "completeness", "budget" or
         #: "exhausted" (None while running or when the consumer stopped
@@ -1184,41 +1140,26 @@ class CrowdEnumerate(Operator):
         budget = self.spec.budget
         if budget is None:
             return True
-        if self.cost_spent >= budget:
+        spent = self.acquired.cost
+        if spent >= budget:
             return False
         per_batch = getattr(self.spec.source, "payment_per_hit", None)
-        if per_batch is not None and self.cost_spent + per_batch > budget + 1e-9:
+        if per_batch is not None and spent + per_batch > budget + 1e-9:
             return False
         return True
 
     def _pull_batch(self, attribute: str, batch_index: int) -> list[Any]:
-        """Fetch one HIT batch of answers (through the runtime when present)."""
+        """Fetch one HIT batch of answers through the acquisition runtime."""
         spec = self.spec
-        items = [(batch_index, {})]
-        if spec.runtime is not None:
-            outcome = spec.runtime.acquire(
-                spec.source,
-                ENUMERATION_TABLE,
-                [(attribute, items)],
-                session=spec.session,
-            )
-            self.batches_dispatched += outcome.dispatches
-            self.cache_hits += outcome.cache_hits
-            self.coalesced += outcome.coalesced
-            self.cost_spent += outcome.cost
-            dispatched = outcome.dispatches > 0
-            answers = outcome.values.get(attribute, {}).get(batch_index)
-        else:
-            cost_before = getattr(spec.source, "total_cost", None)
-            values = spec.source.request_values(attribute, items)
-            self.batches_dispatched += 1
-            dispatched = True
-            if cost_before is not None:
-                cost = spec.source.total_cost - cost_before
-                self.cost_spent += cost
-                if spec.session is not None:
-                    spec.session.record_cost(cost)
-            answers = values.get(batch_index)
+        outcome = spec.runtime.acquire(
+            spec.source,
+            ENUMERATION_TABLE,
+            [(attribute, [(batch_index, {})])],
+            session=spec.session,
+        )
+        self.acquired.absorb(outcome)
+        dispatched = outcome.dispatches > 0
+        answers = outcome.values.get(attribute, {}).get(batch_index)
         if answers is None or is_missing(answers):
             batch: list[Any] = []
         elif isinstance(answers, (list, tuple)):
@@ -1244,9 +1185,9 @@ class CrowdEnumerate(Operator):
             stopped_on=self.stopped_on,
             batches=self.batches_pulled,
             sample_size=self.estimator.sample_size,
-            cache_hits=self.cache_hits,
-            coalesced=self.coalesced,
-            cost=self.cost_spent,
+            cache_hits=self.acquired.cache_hits,
+            coalesced=self.acquired.coalesced,
+            cost=self.acquired.cost,
             completeness_target=self.spec.completeness,
             budget=self.spec.budget,
         )
@@ -1271,12 +1212,12 @@ class CrowdEnumerate(Operator):
             f"est_total={self.estimator.est_total():.1f}",
             f"est_coverage={self.estimator.est_coverage():.3f}",
             f"stopped_on={self.stopped_on}",
-            f"cache_hits={self.cache_hits}",
-            f"coalesced={self.coalesced}",
-            f"cost={self.cost_spent:.4f}",
+            f"cache_hits={self.acquired.cache_hits}",
+            f"coalesced={self.acquired.coalesced}",
+            f"cost={self.acquired.cost:.4f}",
         ]
-        tracker = getattr(self.spec.runtime, "worker_quality", None)
-        if tracker is not None and tracker.n_workers:
+        tracker = self.spec.runtime.worker_quality
+        if tracker.n_workers:
             parts.append(f"mean_worker_accuracy={tracker.mean_accuracy():.3f}")
         return parts
 
@@ -1912,11 +1853,11 @@ def build_enumerate_spec(
     max_batches = getattr(session, "max_enum_batches", None) or 256
     return CrowdEnumerateSpec(
         source=crowd.source,
+        runtime=crowd.runtime,
         predicate=relation.predicate,
         completeness=completeness,
         budget=relation.budget,
         session=session,
-        runtime=crowd.runtime,
         dry_batches=dry_batches,
         max_batches=max_batches,
         existing_keys=existing_keys,

@@ -382,9 +382,9 @@ class ReproServer:
         runtime_stats: dict[str, Any] | None = None
         root = self._root
         if root is not None:
-            runtime = root.catalog._runtime  # shared runtime, if created yet
-            if runtime is not None:
-                stats = dict(runtime.stats())
+            shared = root.catalog._shared_runtime  # None until first created
+            if shared is not None:
+                stats = dict(shared.stats())
                 cache = stats.pop("cache")
                 stats["cache_hit_rate"] = round(cache.hit_rate, 4)
                 stats["cache_size"] = cache.size

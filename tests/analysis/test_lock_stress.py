@@ -16,6 +16,7 @@ from typing import Any, Sequence
 import repro
 from repro.analysis.tracer import LockOrderTracer
 from repro.crowd.runtime import AcquisitionRuntime
+from repro.db import Dispatch
 
 
 class ConstantSource:
@@ -25,11 +26,11 @@ class ConstantSource:
         self.value = value
         self.dispatches = 0
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
         self.dispatches += 1
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items}, 0.0)
 
 
 def test_concurrent_engine_workload_keeps_lock_graph_acyclic(tmp_path):

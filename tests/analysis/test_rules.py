@@ -308,21 +308,35 @@ class TestChargeOnce:
         assert "2 times" in findings[0].message
 
     def test_loop_with_dispatch_charges_clean(self):
-        # The legacy operator path: one dispatch, one charge, per batch.
+        # One dispatch, one charge, per batch.
         findings = findings_of(
             {
-                "src/repro/db/sql/operators.py": """
+                "src/repro/crowd/runtime.py": """
                 def flush(session, source, attribute, batches):
                     for batch in batches:
-                        before = source.total_cost
-                        values = source.request_values(attribute, batch)
-                        session.record_cost(source.total_cost - before)
-                    return values
+                        dispatch = source.request_values_with_cost(attribute, batch)
+                        session.record_cost(dispatch.cost)
+                    return dispatch.values
                 """
             },
             "charge-once",
         )
         assert findings == []
+
+    def test_flags_dispatch_from_the_operator_layer(self):
+        # Physical operators reach value sources only through the runtime.
+        findings = findings_of(
+            {
+                "src/repro/db/sql/operators.py": """
+                class CrowdFill:
+                    def flush(self, attribute, items):
+                        return self.spec.source.request_values_with_cost(attribute, items)
+                """
+            },
+            "charge-once",
+        )
+        assert len(findings) == 1
+        assert "request_values_with_cost" in findings[0].message
 
     def test_conditional_branches_may_each_charge(self):
         findings = findings_of(

@@ -8,7 +8,12 @@ from typing import Any, Sequence
 
 import pytest
 
+from repro.crowd.estimation import enumeration_attribute, enumeration_predicate
+from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime, AnswerCache
+from repro.crowd.sources import SimulatedCrowdValueSource
+from repro.crowd.worker import WorkerPool
+from repro.db import Dispatch
 
 
 class RecordingSource:
@@ -23,16 +28,33 @@ class RecordingSource:
         self.release.set()  # blocks only when a test clears it
         self.entered = threading.Event()
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
         with self._lock:
             self.calls.append((attribute, tuple(rowid for rowid, _row in items)))
         self.entered.set()
         if self.latency:
             time.sleep(self.latency)
         assert self.release.wait(timeout=10.0), "test forgot to release the source"
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items}, 0.0)
+
+
+class Session:
+    """Minimal budget hook: records every charge."""
+
+    def __init__(self, max_cost: float | None = None) -> None:
+        self.max_cost = max_cost
+        self.cost_spent = 0.0
+        self.charges: list[float] = []
+
+    @property
+    def budget_exhausted(self) -> bool:
+        return self.max_cost is not None and self.cost_spent >= self.max_cost
+
+    def record_cost(self, cost: float) -> None:
+        self.charges.append(cost)
+        self.cost_spent += cost
 
 
 def items_for(rowids: Sequence[int]) -> list[tuple[int, dict[str, Any]]]:
@@ -183,24 +205,12 @@ class TestAcquire:
 
     def test_session_is_charged_for_own_dispatches_only(self):
         class CostedSource(RecordingSource):
-            def __init__(self) -> None:
-                super().__init__(value=1.0)
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                values = super().request_values(attribute, items)
-                self.total_cost += 0.25
-                return values
-
-        class Session:
-            def __init__(self) -> None:
-                self.cost_spent = 0.0
-
-            def record_cost(self, cost: float) -> None:
-                self.cost_spent += cost
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                values = super().request_values_with_cost(attribute, items).values
+                return Dispatch(values, 0.25)
 
         runtime = AcquisitionRuntime()
-        source = CostedSource()
+        source = CostedSource(value=1.0)
         session = Session()
         runtime.acquire(source, "t", [("a", items_for([1, 2]))], session=session)
         assert session.cost_spent == pytest.approx(0.25)
@@ -210,53 +220,27 @@ class TestAcquire:
 
     def test_source_with_cost_protocol_is_charged_exactly(self):
         class DetailedSource:
-            def __init__(self) -> None:
-                self.calls = 0
-
-            def request_values_with_cost(self, attribute, items):
-                self.calls += 1
-                return {rowid: 1.0 for rowid, _row in items}, 0.4
-
-        class Session:
-            cost_spent = 0.0
-
-            def record_cost(self, cost: float) -> None:
-                Session.cost_spent += cost
+            def request_values_with_cost(self, attribute, items, *, policy=None, tracker=None):
+                return Dispatch({rowid: 1.0 for rowid, _row in items}, 0.4)
 
         runtime = AcquisitionRuntime()
-        runtime.acquire(DetailedSource(), "t", [("a", items_for([1]))], session=Session())
-        assert Session.cost_spent == pytest.approx(0.4)
+        session = Session()
+        runtime.acquire(DetailedSource(), "t", [("a", items_for([1]))], session=session)
+        assert session.charges == [pytest.approx(0.4)]
 
     def test_budget_exhaustion_mid_flush_skips_later_dispatches(self):
         # A dispatch that exhausts the budget must stop the flush's later
         # dispatches: each one re-checks the budget at execution time.
         class CostedSource(RecordingSource):
-            def __init__(self) -> None:
-                super().__init__(value=1.0)
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                values = super().request_values(attribute, items)
-                self.total_cost += 1.0
-                return values
-
-        class Session:
-            def __init__(self, max_cost: float) -> None:
-                self.max_cost = max_cost
-                self.cost_spent = 0.0
-
-            @property
-            def budget_exhausted(self) -> bool:
-                return self.cost_spent >= self.max_cost
-
-            def record_cost(self, cost: float) -> None:
-                self.cost_spent += cost
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                values = super().request_values_with_cost(attribute, items).values
+                return Dispatch(values, 1.0)
 
         # Budget-capped sessions dispatch serially *regardless* of the
         # concurrency knob, so the cap is enforced exactly: a worker pool
         # of 4 must not let 4 dispatches race past the check.
         runtime = AcquisitionRuntime(max_concurrent_batches=4)
-        source = CostedSource()
+        source = CostedSource(value=1.0)
         session = Session(max_cost=1.0)
         outcome = runtime.acquire(
             source,
@@ -267,37 +251,6 @@ class TestAcquire:
         assert outcome.dispatches == 1  # a spent the whole budget; b, c skipped
         assert session.cost_spent == pytest.approx(1.0)
         assert outcome.values == {"a": {1: 1.0}, "b": {}, "c": {}}
-
-    def test_concurrent_legacy_cost_sources_are_charged_exactly(self):
-        # Sources without the request_values_with_cost protocol expose cost
-        # only as a total_cost delta; the runtime must not over-charge the
-        # session when several of their dispatches are scheduled at once.
-        class SlowCostedSource:
-            def __init__(self) -> None:
-                self.total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                time.sleep(0.02)
-                self.total_cost += 0.25
-                return {rowid: 1.0 for rowid, _row in items}
-
-        class Session:
-            def __init__(self) -> None:
-                self.cost_spent = 0.0
-
-            def record_cost(self, cost: float) -> None:
-                self.cost_spent += cost
-
-        runtime = AcquisitionRuntime(max_concurrent_batches=4)
-        session = Session()
-        outcome = runtime.acquire(
-            SlowCostedSource(),
-            "t",
-            [(attr, items_for([1])) for attr in ("a", "b", "c", "d")],
-            session=session,
-        )
-        assert outcome.dispatches == 4
-        assert session.cost_spent == pytest.approx(1.0)  # never 2*c1 + ...
 
     def test_joiner_with_budget_retries_budget_skipped_cells(self):
         # A joins cells onto B's in-flight batch, but B's session turns out
@@ -370,7 +323,7 @@ class TestAcquire:
 
     def test_dispatch_errors_propagate_and_unregister(self):
         class FailingSource:
-            def request_values(self, attribute, items):
+            def request_values_with_cost(self, attribute, items, **kwargs):
                 raise RuntimeError("platform down")
 
         runtime = AcquisitionRuntime()
@@ -389,7 +342,7 @@ class TestAcquire:
         release = threading.Event()
 
         class FailingSource:
-            def request_values(self, attribute, items):
+            def request_values_with_cost(self, attribute, items, **kwargs):
                 entered.set()
                 assert release.wait(timeout=10.0)
                 raise RuntimeError("owner's platform down")
@@ -423,8 +376,8 @@ class TestAcquire:
 
     def test_unanswered_cells_are_not_cached(self):
         class SilentSource:
-            def request_values(self, attribute, items):
-                return {}
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                return Dispatch({}, 0.0)
 
         runtime = AcquisitionRuntime()
         outcome = runtime.acquire(SilentSource(), "t", [("a", items_for([1, 2]))])
@@ -457,3 +410,106 @@ class TestAcquire:
         # The pool is recreated transparently on the next dispatch.
         outcome = runtime.acquire(RecordingSource(), "t", [("a", items_for([2]))])
         assert outcome.dispatches == 1
+
+    def test_mean_worker_accuracy_weights_every_dispatch_equally(self):
+        # Regression: merging as (running + new) / 2 weighted the last
+        # dispatch by 1/2 and reported 0.75 here instead of the mean 0.80.
+        accuracies = {"a": 0.9, "b": 0.9, "c": 0.6}
+
+        class QualitySource:
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                return Dispatch(
+                    {rowid: True for rowid, _row in items},
+                    0.0,
+                    {"mean_worker_accuracy": accuracies[attribute]},
+                )
+
+        runtime = AcquisitionRuntime()
+        outcome = runtime.acquire(
+            QualitySource(), "t", [(attr, items_for([1])) for attr in accuracies]
+        )
+        assert outcome.dispatches == 3
+        assert outcome.mean_worker_accuracy == pytest.approx(0.8)
+        assert f"{outcome.mean_worker_accuracy:.3f}" == "0.800"
+
+
+class RecordedSimulatedSource(SimulatedCrowdValueSource):
+    """The simulated source, also recording every Dispatch it returns."""
+
+    def __init__(self, *args: Any, **kwargs: Any) -> None:
+        super().__init__(*args, **kwargs)
+        self.returned: dict[str, Dispatch] = {}
+        self._returned_lock = threading.Lock()
+
+    def request_values_with_cost(self, attribute, items, **kwargs):
+        dispatch = super().request_values_with_cost(attribute, items, **kwargs)
+        with self._returned_lock:
+            assert attribute not in self.returned, "one dispatch per attribute expected"
+            self.returned[attribute] = dispatch
+        return dispatch
+
+
+class TestChargeOnce:
+    """Every paid answer is charged exactly once, in every source mode."""
+
+    ATTRIBUTES = ("a", "b", "c", "d")
+
+    def make_source(self, mode: str) -> RecordedSimulatedSource:
+        truth = {item_id: item_id % 3 == 0 for item_id in range(1, 31)}
+        return RecordedSimulatedSource(
+            CrowdPlatform(seed=11),
+            WorkerPool.build(n_honest=15, n_spammers=0, seed=3),
+            truth={attr: truth for attr in self.ATTRIBUTES},
+            allow_dont_know=False,
+            seed=5,
+            quality=mode == "adaptive",
+            gold_answers=(
+                {attr: {i: truth[i] for i in range(21, 31)} for attr in self.ATTRIBUTES}
+                if mode == "adaptive"
+                else None
+            ),
+            universe={attr: [f"{attr}{rank}" for rank in range(12)] for attr in self.ATTRIBUTES},
+        )
+
+    def requests(self, mode: str) -> list[tuple[str, list[tuple[int, dict[str, Any]]]]]:
+        if mode == "enumeration":
+            # One open-world HIT batch (batch index 0) per predicate.
+            return [(enumeration_attribute(attr), [(0, {})]) for attr in self.ATTRIBUTES]
+        return [(attr, items_for(range(1, 11))) for attr in self.ATTRIBUTES]
+
+    def platform_charge(self, source: RecordedSimulatedSource, attribute: str) -> float:
+        """What the platform billed for the dispatch of *attribute*."""
+        if enumeration_predicate(attribute) is not None:
+            return source.payment_per_hit  # one enumeration HIT batch
+        return sum(
+            run.total_cost for run in source.runs if run.group.question.attribute == attribute
+        )
+
+    @pytest.mark.parametrize("mode", ["flat", "adaptive", "enumeration"])
+    def test_every_dispatch_is_charged_exactly_once(self, mode):
+        source = self.make_source(mode)
+        runtime = AcquisitionRuntime(max_concurrent_batches=4)
+        session = Session()
+        requests = self.requests(mode)
+        outcome = runtime.acquire(source, "t", requests, session=session)
+
+        assert outcome.dispatches == len(requests)
+        assert set(source.returned) == {attribute for attribute, _items in requests}
+        for attribute, dispatch in source.returned.items():
+            assert dispatch.cost > 0
+            assert dispatch.cost == pytest.approx(self.platform_charge(source, attribute))
+            assert (dispatch.quality is not None) == (mode == "adaptive")
+        costs = [dispatch.cost for dispatch in source.returned.values()]
+        # One charge per dispatch, each for exactly that dispatch's cost.
+        assert sorted(session.charges) == pytest.approx(sorted(costs))
+        assert session.cost_spent == pytest.approx(sum(costs))
+        assert outcome.cost == pytest.approx(sum(costs))
+        assert source.total_cost == pytest.approx(sum(costs))
+
+        # A cache-served repeat charges nothing and dispatches nothing.
+        repeat = runtime.acquire(source, "t", requests, session=session)
+        assert repeat.dispatches == 0
+        assert repeat.cost == 0.0
+        assert repeat.cache_hits == sum(len(items) for _attribute, items in requests)
+        assert len(session.charges) == len(requests)
+        assert session.cost_spent == pytest.approx(sum(costs))

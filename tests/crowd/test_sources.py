@@ -30,19 +30,21 @@ def source(truth) -> SimulatedCrowdValueSource:
 class TestRequestValues:
     def test_one_dispatch_per_batch(self, source):
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 11)]
-        values = source.request_values("is_comedy", items)
+        values, cost, quality = source.request_values_with_cost("is_comedy", items)
         assert source.dispatches == 1
-        assert source.total_cost > 0
+        assert cost == source.total_cost > 0
+        assert quality is None  # flat mode
         assert source.total_judgments >= len(values)
         assert all(isinstance(v, bool) for v in values.values())
 
     def test_rows_without_key_are_skipped(self, source):
         items = [(1, {"item_id": 1}), (2, {"item_id": None}), (3, {})]
-        values = source.request_values("is_comedy", items)
+        values = source.request_values_with_cost("is_comedy", items).values
         assert set(values) <= {1}
 
     def test_empty_batch_dispatches_nothing(self, source):
-        assert source.request_values("is_comedy", [(5, {"item_id": None})]) == {}
+        dispatch = source.request_values_with_cost("is_comedy", [(5, {"item_id": None})])
+        assert dispatch == ({}, 0.0, None)
         assert source.dispatches == 0
 
 
@@ -62,7 +64,10 @@ class TestDeterminism:
         for _ in range(2):
             source = self.make_source(truth, seed=42)
             runs.append(
-                [source.request_values("is_comedy", items[i : i + 10]) for i in (0, 10)]
+                [
+                    source.request_values_with_cost("is_comedy", items[i : i + 10]).values
+                    for i in (0, 10)
+                ]
             )
         assert runs[0] == runs[1]
 
@@ -71,8 +76,8 @@ class TestDeterminism:
         # dispatch ordinal: different batches get independent streams ...
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 21)]
         source = self.make_source(truth, seed=42)
-        source.request_values("is_comedy", items[:10])
-        source.request_values("is_comedy", items[10:])
+        source.request_values_with_cost("is_comedy", items[:10])
+        source.request_values_with_cost("is_comedy", items[10:])
         first, second = source.runs
         assert [j.worker_id for j in first.judgments] != [
             j.worker_id for j in second.judgments
@@ -85,8 +90,8 @@ class TestDeterminism:
         # are a pure function of the request, not of scheduling.
         items = [(rowid, {"item_id": rowid}) for rowid in range(1, 11)]
         source = self.make_source(truth, seed=42)
-        first_values = source.request_values("is_comedy", items)
-        second_values = source.request_values("is_comedy", items)
+        first_values = source.request_values_with_cost("is_comedy", items).values
+        second_values = source.request_values_with_cost("is_comedy", items).values
         first, second = source.runs
         assert first_values == second_values
         assert [j.worker_id for j in first.judgments] == [

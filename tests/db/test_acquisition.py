@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.db import Catalog, Connection, SessionContext
+from repro.db import Catalog, Connection, Dispatch, SessionContext
 from repro.db.acquisition import (
     AcquisitionPolicy,
     PredictionBatch,
@@ -34,16 +34,17 @@ class CountingSource:
         self.calls: list[tuple[str, int]] = []
         self.requested_rowids: list[int] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
         self.calls.append((attribute, len(items)))
         self.requested_rowids.extend(rowid for rowid, _row in items)
-        return {
+        values = {
             rowid: self.truth[row[self.key_column]]
             for rowid, row in items
             if row.get(self.key_column) in self.truth
         }
+        return Dispatch(values, 0.0)
 
 
 class MeanPredictor:

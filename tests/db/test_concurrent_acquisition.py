@@ -17,7 +17,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import Catalog, Connection, SessionContext
+from repro.db import Catalog, Connection, Dispatch, SessionContext
 
 
 class BlockingSource:
@@ -31,14 +31,14 @@ class BlockingSource:
         self.release = threading.Event()
         self.release.set()
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
         with self._lock:
             self.calls.append((attribute, tuple(rowid for rowid, _row in items)))
         self.entered.set()
         assert self.release.wait(timeout=10.0), "test forgot to release the source"
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items}, 0.0)
 
 
 class FakeClock:

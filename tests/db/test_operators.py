@@ -6,7 +6,7 @@ from typing import Any, Sequence
 
 import pytest
 
-from repro.db import Catalog, Connection, connect
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, connect
 from repro.db.sql.operators import (
     CrowdFill,
     HashJoin,
@@ -25,11 +25,11 @@ class CountingSource:
         self.value = value
         self.calls: list[tuple[str, int]] = []
 
-    def request_values(
-        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]]
-    ) -> dict[int, Any]:
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
         self.calls.append((attribute, len(items)))
-        return {rowid: self.value for rowid, _row in items}
+        return Dispatch({rowid: self.value for rowid, _row in items}, 0.0)
 
 
 def make_joined_catalog() -> Catalog:
@@ -253,8 +253,8 @@ class TestCrowdFillBatching:
 
     def test_partial_answers_leave_rest_missing(self):
         class PartialSource:
-            def request_values(self, attribute, items):
-                return {rowid: 1.0 for rowid, _row in items if rowid % 2 == 0}
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                return Dispatch({rowid: 1.0 for rowid, _row in items if rowid % 2 == 0}, 0.0)
 
         conn = self._connection(6)
         conn.set_value_source(PartialSource(), batch_size=10)
@@ -343,16 +343,32 @@ class TestCrowdFillBatching:
 
     def test_cost_aware_source_charges_session(self):
         class CostedSource(CountingSource):
-            total_cost = 0.0
-
-            def request_values(self, attribute, items):
-                CostedSource.total_cost += 0.25
-                return super().request_values(attribute, items)
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                return super().request_values_with_cost(attribute, items)._replace(cost=0.25)
 
         conn = self._connection(8)
         conn.set_value_source(CostedSource(0.9), batch_size=4)
         conn.execute("SELECT count(*) FROM items WHERE appeal > 0.5").fetchone()
         assert conn.session.cost_spent == pytest.approx(0.5)  # two batches
+
+    def test_explain_analyze_mean_worker_accuracy_is_the_dispatch_mean(self):
+        # Regression: three flushes whose dispatches report worker
+        # accuracies 0.9, 0.9 and 0.6 average to 0.800 (a running pairwise
+        # average reported 0.750).
+        accuracies = iter([0.9, 0.9, 0.6])
+
+        class QualitySource(CountingSource):
+            def request_values_with_cost(self, attribute, items, **kwargs):
+                dispatch = super().request_values_with_cost(attribute, items)
+                return dispatch._replace(quality={"mean_worker_accuracy": next(accuracies)})
+
+        conn = self._connection(6)
+        conn.set_value_source(QualitySource(0.9))
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=2))
+        text = conn.explain_analyze("SELECT count(*) FROM items WHERE appeal > 0.5")
+        crowd_line = next(line for line in text.splitlines() if "CrowdFill" in line)
+        assert "batches=3" in crowd_line
+        assert "mean_worker_accuracy=0.800" in crowd_line
 
 
 class TestComparableValue:
@@ -403,5 +419,5 @@ class TestScanCounters:
         cursor = conn.execute("SELECT appeal FROM t")
         cursor.fetchall()
         fill = next(op for op in cursor.plan.walk() if isinstance(op, CrowdFill))
-        assert fill.batches_dispatched == 1
+        assert fill.acquired.dispatches == 1
         assert fill.values_filled == 2
