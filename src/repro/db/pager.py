@@ -50,7 +50,7 @@ from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Iterator, MutableMapping
 
-from repro.db.wal import decode_row, encode_row
+from repro.db.wal import COMPACT_JSON, decode_row, encode_row
 from repro.errors import PersistenceError
 
 __all__ = [
@@ -503,7 +503,7 @@ class PagedRowMap(MutableMapping):
 
     @staticmethod
     def _encode(row: dict[str, Any]) -> bytes:
-        return json.dumps(encode_row(row), separators=(",", ":")).encode("utf-8")
+        return COMPACT_JSON.encode(encode_row(row)).encode("utf-8")
 
     # -- MutableMapping ----------------------------------------------------------
 

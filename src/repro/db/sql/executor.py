@@ -10,38 +10,34 @@ stream into a materialized :class:`QueryResult` for callers that want the
 whole result at once.  DDL and DML statements are executed directly against
 the catalog.
 
-Crowd integration happens at two levels: a per-row ``missing_resolver``
-(the legacy hook consulted when an expression reads a MISSING value) and a
-batch :class:`~repro.db.sql.operators.CrowdFillSpec`, which makes the
-lowering insert a ``CrowdFill`` operator that acquires missing
-crowd-sourced values in coalesced batches.
+Crowd integration happens through a batch
+:class:`~repro.db.sql.operators.CrowdFillSpec` (plus an optional
+:class:`~repro.db.acquisition.PredictSpec`), which makes the lowering insert
+a ``CrowdFill`` (and ``PredictFill``) operator that acquires missing
+crowd-sourced values in coalesced batches.  A MISSING value with no value
+source configured stays unknown.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Any, ContextManager, Iterator
+from typing import Any, ContextManager, Iterable, Iterator, Sequence
 
 from repro.crowd.estimation import normalize_entity
 from repro.db.acquisition import PROVENANCE_CROWD, PredictSpec
 from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, Column, TableSchema
 from repro.db.sql import ast
-from repro.db.sql.expressions import (
-    MissingResolver,
-    RowContext,
-    evaluate,
-    evaluate_predicate,
-)
+from repro.db.sql.expressions import RowContext, evaluate, evaluate_predicate
 from repro.db.sql.operators import (
     CrowdEnumerate,
     CrowdFillSpec,
     Operator,
-    _ComparableValue,  # noqa: F401  (re-exported for backwards compatibility)
     build_enumerate_spec,
     describe_operator_tree,
 )
+from repro.db.sql.parameters import bind_expression
 from repro.db.sql.planner import Planner, SelectPlan
 from repro.db.types import MISSING, ColumnType, is_missing
 from repro.errors import ExecutionError, PlanningError
@@ -233,7 +229,6 @@ class Executor:
         self,
         statement: ast.Statement,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
@@ -243,7 +238,7 @@ class Executor:
 
         When *lock* is given (the shared-catalog lock of the connection
         layer), catalog/storage access runs under it, but the evaluation
-        phase of SELECTs — where crowd-backed resolution may spend real
+        phase of SELECTs — where crowd acquisition may spend real
         time — runs outside it on row copies, so one session's
         crowd-sourcing does not serialize others.
         """
@@ -253,7 +248,6 @@ class Executor:
                 plan = self._planner.plan_select(statement)
             return self.execute_select_plan(
                 plan,
-                missing_resolver=missing_resolver,
                 crowd=crowd,
                 predict=predict,
                 explain=explain,
@@ -262,9 +256,7 @@ class Executor:
         if isinstance(statement, ast.ExplainStatement):
             with guard:
                 plan = self._planner.plan_select(statement.statement)
-                description = self.describe_physical_plan(
-                    plan, missing_resolver=missing_resolver, crowd=crowd, predict=predict
-                )
+                description = self.describe_physical_plan(plan, crowd=crowd, predict=predict)
             return QueryResult(
                 columns=["plan"],
                 rows=[(line,) for line in description.splitlines()],
@@ -302,7 +294,6 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         lock: ContextManager[Any] | None = None,
@@ -318,7 +309,6 @@ class Executor:
         with guard:
             root = self._planner.lower(
                 plan,
-                missing_resolver=missing_resolver,
                 crowd=crowd,
                 predict=predict,
                 lock=lock,
@@ -331,16 +321,13 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
         explain: bool = False,
         lock: ContextManager[Any] | None = None,
     ) -> QueryResult:
         """Execute an already-planned SELECT to completion."""
-        stream = self.open_select(
-            plan, missing_resolver=missing_resolver, crowd=crowd, predict=predict, lock=lock
-        )
+        stream = self.open_select(plan, crowd=crowd, predict=predict, lock=lock)
         result = stream.materialize()
         if explain:
             description = stream.describe(include_stats=True)
@@ -359,7 +346,6 @@ class Executor:
         self,
         plan: SelectPlan,
         *,
-        missing_resolver: MissingResolver | None = None,
         crowd: CrowdFillSpec | None = None,
         predict: PredictSpec | None = None,
     ) -> str:
@@ -370,7 +356,6 @@ class Executor:
         """
         root = self._planner.lower(
             plan,
-            missing_resolver=missing_resolver,
             crowd=crowd,
             predict=predict,
             hash_joins=self.hash_joins,
@@ -567,22 +552,44 @@ class Executor:
     # -- DML -----------------------------------------------------------------------
 
     def _execute_insert(self, statement: ast.InsertStatement) -> QueryResult:
+        inserted = self.insert_many(statement, ((),))
+        return QueryResult(columns=[], rows=[], rowcount=inserted)
+
+    def insert_many(
+        self, statement: ast.InsertStatement, param_rows: Iterable[Sequence[Any]]
+    ) -> int:
+        """Insert the VALUES rows of *statement* once per parameter tuple.
+
+        This is the prepared-INSERT path of ``executemany``: the table, the
+        column list and the row shapes are resolved once, and each ``?``
+        slot reads its value straight from the tuple instead of binding a
+        fresh statement per row.  Arity is the caller's to check.  Each
+        row is inserted (and journaled) on its own, exactly as if the
+        bound statement had been executed once per tuple.  Returns the
+        number of rows inserted.
+        """
         table = self._catalog.table(statement.table)
-        schema = table.schema
-        columns = list(statement.columns) or schema.column_names
-        inserted = 0
+        columns = list(statement.columns) or table.schema.column_names
         for value_exprs in statement.rows:
             if len(value_exprs) != len(columns):
                 raise ExecutionError(
                     f"INSERT expects {len(columns)} values, got {len(value_exprs)}"
                 )
-            values = {
-                column: evaluate(expr, RowContext())
-                for column, expr in zip(columns, value_exprs)
-            }
-            table.insert(values)
-            inserted += 1
-        return QueryResult(columns=[], rows=[], rowcount=inserted)
+        context = RowContext()
+        inserted = 0
+        for params in param_rows:
+            for value_exprs in statement.rows:
+                values = {}
+                for column, expr in zip(columns, value_exprs):
+                    if isinstance(expr, ast.Parameter):
+                        values[column] = params[expr.index]
+                    elif isinstance(expr, ast.Literal):
+                        values[column] = expr.value
+                    else:
+                        values[column] = evaluate(bind_expression(expr, params), context)
+                table.insert(values)
+                inserted += 1
+        return inserted
 
     def _execute_insert_from_crowd(
         self,

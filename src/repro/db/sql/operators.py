@@ -14,7 +14,7 @@ operators, each a pull-based iterator:
   attributes and acquires them from a batch
   :class:`~repro.db.acquisition.ValueSource` in configurable batches: one
   coalesced platform call per attribute per ``batch_size`` missing rows
-  instead of one resolver call per row.  Every batch goes through the
+  instead of one crowd task per cell.  Every batch goes through the
   session's :class:`~repro.crowd.runtime.AcquisitionRuntime`: per-attribute
   batches execute concurrently on a bounded worker pool, repeat requests
   are served from the cross-query answer cache, and cells another query is
@@ -81,6 +81,7 @@ from repro.db.acquisition import (
     PROVENANCE_CROWD,
     PROVENANCE_PREDICTED,
     PROVENANCE_STORED,
+    AcquisitionPolicy,
     PredictSpec,
     SamplePlan,
     plan_sample,
@@ -89,7 +90,6 @@ from repro.db.catalog import Catalog
 from repro.db.schema import AttributeKind, TableSchema
 from repro.db.sql import ast
 from repro.db.sql.expressions import (
-    MissingResolver,
     RowContext,
     evaluate,
     evaluate_predicate,
@@ -1245,14 +1245,12 @@ class NestedLoopJoin(Operator):
         condition: Optional[ast.Expression],
         kind: str,
         right_columns: Sequence[str],
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(left, right)
         self.alias = alias
         self.condition = condition
         self.kind = kind
         self._right_columns = list(right_columns)
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[RowContext]:
         right_rows = list(self.children[1])  # materialized once per join
@@ -1261,9 +1259,7 @@ class NestedLoopJoin(Operator):
             matched = False
             for rowid, row in right_rows:
                 candidate = _merge_context(context, self.alias, rowid, row)
-                if self.kind == "cross" or evaluate_predicate(
-                    self.condition, candidate, missing_resolver=self._resolver
-                ):
+                if self.kind == "cross" or evaluate_predicate(self.condition, candidate):
                     matched = True
                     yield candidate
             if self.kind == "left" and not matched:
@@ -1280,10 +1276,9 @@ class HashJoin(Operator):
     """Equi-join fast path: hash the right input once, probe per left row.
 
     Only lowered for ``left.col = right.col`` conditions with qualified
-    references and no per-row missing-value resolver (the resolver could
-    change key values mid-probe, which only the nested-loop path models).
-    Unknown keys (NULL/MISSING) never match, matching SQL three-valued
-    equality; unmatched left rows of a LEFT JOIN get the hoisted null row.
+    references.  Unknown keys (NULL/MISSING) never match, matching SQL
+    three-valued equality; unmatched left rows of a LEFT JOIN get the
+    hoisted null row.
     """
 
     label = "HashJoin"
@@ -1347,23 +1342,15 @@ class Filter(Operator):
 
     label = "Filter"
 
-    def __init__(
-        self,
-        child: Operator,
-        predicate: ast.Expression,
-        missing_resolver: MissingResolver | None = None,
-    ) -> None:
+    def __init__(self, child: Operator, predicate: ast.Expression) -> None:
         super().__init__(child)
         self.predicate = predicate
-        self._resolver = missing_resolver
         self.rows_in = 0
 
     def _produce(self) -> Iterator[RowContext]:
         for context in self.children[0]:
             self.rows_in += 1
-            if evaluate_predicate(
-                self.predicate, context, missing_resolver=self._resolver
-            ):
+            if evaluate_predicate(self.predicate, context):
                 yield context
 
     def detail(self) -> str:
@@ -1375,22 +1362,13 @@ class Project(Operator):
 
     label = "Project"
 
-    def __init__(
-        self,
-        child: Operator,
-        output: Sequence[OutputColumn],
-        missing_resolver: MissingResolver | None = None,
-    ) -> None:
+    def __init__(self, child: Operator, output: Sequence[OutputColumn]) -> None:
         super().__init__(child)
         self.output = tuple(output)
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         for context in self.children[0]:
-            row = tuple(
-                evaluate(column.expression, context, missing_resolver=self._resolver)
-                for column in self.output
-            )
+            row = tuple(evaluate(column.expression, context) for column in self.output)
             yield row, context
 
     def detail(self) -> str:
@@ -1400,11 +1378,7 @@ class Project(Operator):
 # -- aggregation -------------------------------------------------------------
 
 
-def compute_aggregate(
-    call: ast.FunctionCall,
-    group: Sequence[RowContext],
-    missing_resolver: MissingResolver | None,
-) -> Any:
+def compute_aggregate(call: ast.FunctionCall, group: Sequence[RowContext]) -> Any:
     """Compute one aggregate function over a group of row contexts."""
     name = call.name.lower()
     if call.star:
@@ -1415,7 +1389,7 @@ def compute_aggregate(
         raise ExecutionError(f"aggregate {name.upper()} takes exactly one argument")
     values = []
     for context in group:
-        value = evaluate(call.args[0], context, missing_resolver=missing_resolver)
+        value = evaluate(call.args[0], context)
         if value is None or is_missing(value):
             continue
         values.append(value)
@@ -1447,26 +1421,19 @@ def evaluate_aggregate_expression(
     expr: ast.Expression,
     group: Sequence[RowContext],
     representative: RowContext,
-    missing_resolver: MissingResolver | None,
 ) -> Any:
     """Evaluate an expression that may mix aggregates and scalars."""
     if isinstance(expr, ast.FunctionCall) and expr.name.lower() in ast.AGGREGATE_FUNCTIONS:
-        return compute_aggregate(expr, group, missing_resolver)
+        return compute_aggregate(expr, group)
     if isinstance(expr, ast.BinaryOp):
-        left = evaluate_aggregate_expression(
-            expr.left, group, representative, missing_resolver
-        )
-        right = evaluate_aggregate_expression(
-            expr.right, group, representative, missing_resolver
-        )
+        left = evaluate_aggregate_expression(expr.left, group, representative)
+        right = evaluate_aggregate_expression(expr.right, group, representative)
         synthetic = ast.BinaryOp(expr.op, ast.Literal(left), ast.Literal(right))
         return evaluate(synthetic, representative)
     if isinstance(expr, ast.UnaryOp):
-        operand = evaluate_aggregate_expression(
-            expr.operand, group, representative, missing_resolver
-        )
+        operand = evaluate_aggregate_expression(expr.operand, group, representative)
         return evaluate(ast.UnaryOp(expr.op, ast.Literal(operand)), representative)
-    return evaluate(expr, representative, missing_resolver=missing_resolver)
+    return evaluate(expr, representative)
 
 
 class Aggregate(Operator):
@@ -1480,25 +1447,18 @@ class Aggregate(Operator):
         output: Sequence[OutputColumn],
         group_by: Sequence[ast.Expression],
         having: Optional[ast.Expression],
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(child)
         self.output = tuple(output)
         self.group_by = tuple(group_by)
         self.having = having
-        self._resolver = missing_resolver
         self.groups_built = 0
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         groups: dict[tuple[Any, ...], list[RowContext]] = {}
         if self.group_by:
             for context in self.children[0]:
-                key = tuple(
-                    hashable_key(
-                        evaluate(expr, context, missing_resolver=self._resolver)
-                    )
-                    for expr in self.group_by
-                )
+                key = tuple(hashable_key(evaluate(expr, context)) for expr in self.group_by)
                 groups.setdefault(key, []).append(context)
         else:
             # A global aggregate always emits one row, even over no input.
@@ -1509,14 +1469,12 @@ class Aggregate(Operator):
             representative = group_contexts[0] if group_contexts else RowContext()
             if self.having is not None:
                 having_value = evaluate_aggregate_expression(
-                    self.having, group_contexts, representative, self._resolver
+                    self.having, group_contexts, representative
                 )
                 if not _truthy(having_value):
                     continue
             row = tuple(
-                evaluate_aggregate_expression(
-                    column.expression, group_contexts, representative, self._resolver
-                )
+                evaluate_aggregate_expression(column.expression, group_contexts, representative)
                 for column in self.output
             )
             yield row, representative
@@ -1561,13 +1519,11 @@ class Sort(Operator):
         order_by: Sequence[ast.OrderItem],
         output_names: Sequence[str],
         aggregate: bool,
-        missing_resolver: MissingResolver | None = None,
     ) -> None:
         super().__init__(child)
         self.order_by = tuple(order_by)
         self._output_names = list(output_names)
         self._aggregate = aggregate
-        self._resolver = missing_resolver
 
     def _produce(self) -> Iterator[tuple[tuple[Any, ...], RowContext]]:
         ordered = list(self.children[0])
@@ -1585,13 +1541,9 @@ class Sort(Operator):
                 row, context = entry
                 extended = sort_key_context(row, context)
                 if self._aggregate:
-                    value = evaluate_aggregate_expression(
-                        item.expression, [context], extended, self._resolver
-                    )
+                    value = evaluate_aggregate_expression(item.expression, [context], extended)
                 else:
-                    value = evaluate(
-                        item.expression, extended, missing_resolver=self._resolver
-                    )
+                    value = evaluate(item.expression, extended)
                 missing = value is None or is_missing(value)
                 return missing, value
 
@@ -1843,14 +1795,13 @@ def build_enumerate_spec(
 
     Statement-level constraints win; the session's acquisition policy
     supplies the completeness target fallback and the dry-batch/backstop
-    knobs (bare sessions fall back to the defaults).
+    knobs (a spec without a session uses the policy defaults).
     """
     session = crowd.session
+    policy = session.policy if session is not None else AcquisitionPolicy()
     completeness = relation.completeness
-    if completeness is None and session is not None:
-        completeness = getattr(session, "completeness_target", None)
-    dry_batches = getattr(session, "enum_dry_batches", None) or 3
-    max_batches = getattr(session, "max_enum_batches", None) or 256
+    if completeness is None:
+        completeness = policy.completeness_target
     return CrowdEnumerateSpec(
         source=crowd.source,
         runtime=crowd.runtime,
@@ -1858,8 +1809,8 @@ def build_enumerate_spec(
         completeness=completeness,
         budget=relation.budget,
         session=session,
-        dry_batches=dry_batches,
-        max_batches=max_batches,
+        dry_batches=policy.enum_dry_batches,
+        max_batches=policy.max_enum_batches,
         existing_keys=existing_keys,
         record_answers=record_answers,
     )
@@ -1869,7 +1820,6 @@ def lower_select_plan(
     plan: SelectPlan,
     catalog: Catalog,
     *,
-    missing_resolver: MissingResolver | None = None,
     crowd: CrowdFillSpec | None = None,
     predict: PredictSpec | None = None,
     lock: ContextManager[Any] | None = None,
@@ -1919,12 +1869,7 @@ def lower_select_plan(
             right_columns = catalog.table(join.scan.table).schema.column_names
             right_est = len(catalog.table(join.scan.table))
             keys = None
-            if (
-                hash_joins
-                and missing_resolver is None
-                and join.kind in ("inner", "left")
-                and join.condition is not None
-            ):
+            if hash_joins and join.kind in ("inner", "left") and join.condition is not None:
                 keys = _equi_join_keys(join.condition, aliases, join.scan.alias)
             strategy = choose_join_strategy(
                 left_est, right_est, equi_keys=keys is not None
@@ -1952,7 +1897,6 @@ def lower_select_plan(
                     join.condition,
                     join.kind,
                     right_columns,
-                    missing_resolver,
                 )
                 if join.condition is None:  # cross join: full product
                     left_est = max(1, left_est * right_est)
@@ -1962,7 +1906,7 @@ def lower_select_plan(
             aliases.add(join.scan.alias.lower())
 
     if plan.where is not None:
-        root = Filter(root, plan.where, missing_resolver)
+        root = Filter(root, plan.where)
 
     if plan.aggregate is not None:
         root = Aggregate(
@@ -1970,10 +1914,9 @@ def lower_select_plan(
             plan.output,
             plan.aggregate.group_by,
             plan.aggregate.having,
-            missing_resolver,
         )
     else:
-        root = Project(root, plan.output, missing_resolver)
+        root = Project(root, plan.output)
 
     if plan.distinct:
         root = Distinct(root)
@@ -1986,7 +1929,6 @@ def lower_select_plan(
             plan.order_by,
             [column.name for column in plan.output],
             plan.aggregate is not None,
-            missing_resolver,
         )
 
     if plan.limit is not None or plan.offset:

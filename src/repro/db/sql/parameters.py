@@ -91,12 +91,33 @@ def bind_select_plan(plan: SelectPlan, params: Sequence[Any]) -> SelectPlan:
     return _rebuild(plan, tuple(params))
 
 
+def _node_fields(cls: type) -> tuple[str, ...]:
+    """Names of the fields of *cls* that binding must visit (cached per class).
+
+    Non-dataclass values (str, int, enums, ...) and ``Literal`` — whose
+    value is a bound Python object, never a template — have none.
+    """
+    names = _FIELDS.get(cls)
+    if names is None:
+        if dataclasses.is_dataclass(cls) and not issubclass(cls, ast.Literal):
+            names = tuple(field.name for field in dataclasses.fields(cls))
+        else:
+            names = ()
+        _FIELDS[cls] = names
+    return names
+
+
+#: Per-class field names visited by :func:`_rebuild` (see :func:`_node_fields`).
+_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
 def _rebuild(node: _Node, params: tuple[Any, ...]) -> _Node:
     """Generic structural substitution of ``Parameter`` leaves.
 
     Rebuilds only the paths that actually contain parameters; untouched
     subtrees are returned by identity, so binding shares structure with the
-    cached template.
+    cached template.  This runs once per executed statement, so field names
+    are looked up per class (:func:`_node_fields`), not per node.
     """
     if isinstance(node, ast.Parameter):
         try:
@@ -105,17 +126,13 @@ def _rebuild(node: _Node, params: tuple[Any, ...]) -> _Node:
             raise ParameterBindingError(
                 f"no value bound for parameter {node.index + 1}"
             ) from exc
-    if isinstance(node, ast.Literal):
-        return node  # never descend into bound Python values
     if isinstance(node, tuple):
-        rebuilt = tuple(_rebuild(item, params) for item in node)
+        rebuilt = tuple([_rebuild(item, params) for item in node])
         return node if all(a is b for a, b in zip(rebuilt, node)) else rebuilt
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        changes = {}
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            replacement = _rebuild(value, params)
-            if replacement is not value:
-                changes[field.name] = replacement
-        return dataclasses.replace(node, **changes) if changes else node
-    return node
+    changes = {}
+    for name in _node_fields(type(node)):
+        value = getattr(node, name)
+        replacement = _rebuild(value, params)
+        if replacement is not value:
+            changes[name] = replacement
+    return dataclasses.replace(node, **changes) if changes else node

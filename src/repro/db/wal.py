@@ -44,7 +44,7 @@ import threading
 from pathlib import Path
 from typing import Any, Iterable
 
-from repro.db.types import MISSING, is_missing
+from repro.db.types import MISSING, Missing, is_missing
 from repro.errors import PersistenceError
 from zlib import crc32
 
@@ -85,6 +85,11 @@ RECORD_TYPES = frozenset(
     }
 )
 
+#: Compact JSON encoder for WAL and page records.  One shared instance:
+#: ``json.dumps`` with non-default arguments builds a new encoder per call,
+#: a measurable share of a single-row insert.
+COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
 #: JSON sentinel for the MISSING marker (no JSON scalar can collide with it:
 #: cell values are always scalars, never objects).
 _MISSING_SENTINEL = {"__missing__": True}
@@ -106,7 +111,11 @@ def decode_value(value: Any) -> Any:
 
 def encode_row(row: dict[str, Any]) -> dict[str, Any]:
     """Encode a stored row (column -> value) for JSON serialization."""
-    return {name: encode_value(value) for name, value in row.items()}
+    encoded = dict(row)
+    for name, value in encoded.items():
+        if isinstance(value, Missing):
+            encoded[name] = dict(_MISSING_SENTINEL)
+    return encoded
 
 
 def decode_row(row: dict[str, Any]) -> dict[str, Any]:
@@ -184,7 +193,7 @@ class WriteAheadLog:
             lsn = self.next_lsn
             self.next_lsn += 1
             record = {"lsn": lsn, "op": op, **payload}
-            blob = json.dumps(record, separators=(",", ":")).encode("utf-8")
+            blob = COMPACT_JSON.encode(record).encode("utf-8")
             self._file.write(_HEADER.pack(len(blob), crc32(blob)))
             self._file.write(blob)
             self._pending += 1

@@ -7,7 +7,7 @@ import pytest
 from repro.crowd.platform import CrowdPlatform
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import connect
+from repro.db import AcquisitionPolicy, connect
 
 
 @pytest.fixture
@@ -101,14 +101,14 @@ class TestDeterminism:
 
 class TestQueryIntegration:
     def test_expansion_query_dispatches_coalesced_hit_groups(self, source, truth):
-        conn = connect()
+        conn = connect(policy=AcquisitionPolicy(crowd_batch_size=10))
         conn.execute("CREATE TABLE movies (item_id INTEGER PRIMARY KEY, name TEXT)")
         conn.executemany(
             "INSERT INTO movies (item_id, name) VALUES (?, ?)",
             [(i, f"movie-{i}") for i in range(1, 21)],
         )
         conn.add_perceptual_column("movies", "is_comedy")
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
 
         (count,) = conn.execute(
             "SELECT count(*) FROM movies WHERE is_comedy = ?", (True,)

@@ -17,7 +17,7 @@ from repro.crowd.platform import CrowdPlatform
 from repro.crowd.runtime import AcquisitionRuntime
 from repro.crowd.sources import SimulatedCrowdValueSource
 from repro.crowd.worker import WorkerPool
-from repro.db import Catalog, Connection, Dispatch, SessionContext
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext
 
 
 class BlockingSource:
@@ -73,8 +73,8 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         conn.set_acquisition_runtime(runtime)
         source = BlockingSource()
-        conn.set_value_source(source, batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(source)
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
 
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(source.calls) == 1
@@ -92,8 +92,8 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
         source = BlockingSource(value=0.9)
-        conn.set_value_source(source, batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(source)
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
 
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 4
@@ -111,7 +111,8 @@ class TestAnswerCacheThroughTheEngine:
         # direct UPDATE must evict the cache entry (the stored value wins).
         conn = make_items_connection(3)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(value=0.9), batch_size=10)
+        conn.set_value_source(BlockingSource(value=0.9))
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 3
         conn.execute("UPDATE items SET appeal = ? WHERE item_id = ?", (0.2, 1))
@@ -121,7 +122,8 @@ class TestAnswerCacheThroughTheEngine:
     def test_acquisition_write_back_does_not_invalidate_its_own_entries(self):
         conn = make_items_connection(5)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(value=0.7), batch_size=10)
+        conn.set_value_source(BlockingSource(value=0.7))
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         # fill_values persisted 5 crowd answers; none of those writes may
         # evict the cache entries they correspond to.
@@ -136,7 +138,8 @@ class TestAnswerCacheThroughTheEngine:
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
         source = BlockingSource(value=0.9)
-        conn.set_value_source(source, batch_size=10)
+        conn.set_value_source(source)
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10))
         source.release.clear()
 
         results: list[list] = []
@@ -162,8 +165,8 @@ class TestAnswerCacheThroughTheEngine:
     def test_delete_evicts_cached_answers(self):
         conn = make_items_connection(4)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 4
         conn.execute("DELETE FROM items WHERE item_id = ?", (2,))
@@ -174,8 +177,8 @@ class TestAnswerCacheThroughTheEngine:
     def test_drop_table_invalidates_cached_answers(self):
         conn = make_items_connection(3)
         runtime = conn.acquisition_runtime()
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         assert len(runtime.cache) == 3
         conn.execute("DROP TABLE items")
@@ -191,7 +194,9 @@ class TestSharedRuntimeKnobs:
         catalog = Catalog()
         first = make_items_connection(2, catalog)
         first.acquisition_runtime()  # shared runtime created with defaults
-        second = Connection(catalog, session=SessionContext(answer_cache_ttl=60.0))
+        second = Connection(
+            catalog, session=SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=60.0))
+        )
         with pytest.warns(RuntimeWarning, match="first-caller-wins"):
             runtime = second.acquisition_runtime()
         # First-caller-wins: the TTL knob did not apply...
@@ -214,7 +219,8 @@ class TestSharedRuntimeKnobs:
         first.acquisition_runtime()  # shared runtime created with defaults
         calls: list[int] = []
         session = SessionContext(
-            answer_cache_ttl=60.0, on_runtime_knobs_ignored=lambda: calls.append(1)
+            policy=AcquisitionPolicy(answer_cache_ttl=60.0),
+            on_runtime_knobs_ignored=lambda: calls.append(1),
         )
         second = Connection(catalog, session=session)
         with warnings_module.catch_warnings():
@@ -232,7 +238,10 @@ class TestSharedRuntimeKnobs:
 
         catalog = Catalog()
         pinned = Connection(
-            catalog, session=SessionContext(answer_cache_ttl=60.0, answer_cache_size=8)
+            catalog,
+            session=SessionContext(
+                policy=AcquisitionPolicy(answer_cache_ttl=60.0, answer_cache_size=8)
+            ),
         )
         pinned.acquisition_runtime()  # creates the shared runtime, custom knobs
         plain = Connection(catalog)
@@ -249,8 +258,8 @@ class TestCrossConnectionCoalescing:
         second = Connection(catalog)
         source = BlockingSource(value=0.8)
         for conn in (first, second):
-            conn.set_value_source(source, batch_size=10)
-            conn.session.crowd_write_back = False
+            conn.set_value_source(source)
+            conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
 
         source.release.clear()
         counts: list[int] = []
@@ -287,7 +296,11 @@ class TestConcurrencyDeterminism:
             attribute: {i: (i + offset) % 3 == 0 for i in range(1, 25)}
             for offset, attribute in enumerate(self.ATTRIBUTES)
         }
-        session = SessionContext(max_concurrent_batches=concurrency)
+        # Small batches force several dispatches per attribute, so at
+        # concurrency 4 their completion order genuinely interleaves.
+        session = SessionContext(
+            policy=AcquisitionPolicy(max_concurrent_batches=concurrency, crowd_batch_size=8)
+        )
         conn = make_items_connection(24, session=session)
         for attribute in self.ATTRIBUTES:
             conn.add_perceptual_column("items", attribute)
@@ -299,9 +312,7 @@ class TestConcurrencyDeterminism:
             items_per_hit=8,
             seed=42,
         )
-        # Small batches force several dispatches per attribute, so at
-        # concurrency 4 their completion order genuinely interleaves.
-        conn.set_value_source(source, batch_size=8)
+        conn.set_value_source(source)
         conn.execute(
             "SELECT item_id, funny, scary, romantic FROM items"
         ).fetchall()
@@ -320,8 +331,8 @@ class TestConcurrencyDeterminism:
 class TestExplainAnalyzeCounters:
     def test_reports_wall_time_cache_hits_and_coalescing(self):
         conn = make_items_connection(4)
-        conn.set_value_source(BlockingSource(), batch_size=10)
-        conn.session.crowd_write_back = False
+        conn.set_value_source(BlockingSource())
+        conn.set_policy(AcquisitionPolicy(crowd_batch_size=10, crowd_write_back=False))
         conn.execute("SELECT count(appeal) FROM items").fetchone()
         text = conn.explain_analyze("SELECT count(appeal) FROM items")
         crowd_line = next(line for line in text.splitlines() if "CrowdFill" in line)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import threading
+import time
+from typing import Any, Sequence
 
 import pytest
 
-from repro.db import Catalog, Connection, SessionContext, connect
-from repro.db.types import ColumnType, MISSING
+from repro.crowd.runtime import AcquisitionRuntime
+from repro.db import AcquisitionPolicy, Catalog, Connection, Dispatch, SessionContext, connect
+from repro.db.types import ColumnType
 from repro.errors import (
     ExecutionError,
     ParameterBindingError,
@@ -164,6 +167,29 @@ class TestExecutemany:
         )
         assert cursor.rowcount == 2
 
+    def test_batch_insert_mixes_slots_literals_and_expressions(self, conn):
+        cursor = conn.executemany(
+            "INSERT INTO movies (movie_id, name, year) VALUES (?, 'same', ? + 1), (? + 100, ?, 1990)",
+            [(30, 1999, 30, "Zed"), (31, 2004, 31, "Yak")],
+        )
+        assert cursor.rowcount == 4
+        rows = conn.execute(
+            "SELECT movie_id, name, year FROM movies WHERE movie_id >= 30 ORDER BY movie_id"
+        ).fetchall()
+        assert rows == [
+            (30, "same", 2000),
+            (31, "same", 2005),
+            (130, "Zed", 1990),
+            (131, "Yak", 1990),
+        ]
+
+    def test_batch_insert_shape_error_writes_nothing(self, conn):
+        with pytest.raises(ExecutionError, match="INSERT expects 2 values"):
+            conn.executemany(
+                "INSERT INTO movies (movie_id, name) VALUES (?, ?), (?)", [(40, "a", 41)]
+            )
+        assert conn.execute("SELECT count(*) FROM movies").fetchone() == (5,)
+
     def test_empty_parameter_sequence(self, conn):
         assert conn.executemany("INSERT INTO movies (movie_id, name) VALUES (?, ?)", []).rowcount == 0
 
@@ -297,29 +323,42 @@ class TestConnectionLifecycle:
         )
 
 
+class ConstantSource:
+    """ValueSource answering every cell with one value after *delay* seconds."""
+
+    def __init__(self, value: Any, delay: float = 0.0) -> None:
+        self.value = value
+        self.delay = delay
+        self.dispatching = threading.Event()
+
+    def request_values_with_cost(
+        self, attribute: str, items: Sequence[tuple[int, dict[str, Any]]], **_: Any
+    ) -> Dispatch:
+        self.dispatching.set()
+        time.sleep(self.delay)  # stands in for the crowd's turnaround
+        return Dispatch({rowid: self.value for rowid, _row in items}, 0.0)
+
+
 class TestSessionScopedCrowdContext:
     def _shared_catalog(self) -> Catalog:
         catalog = Catalog()
         setup = Connection(catalog)
-        setup.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY, score REAL)")
-        setup.executemany(
-            "INSERT INTO items (item_id, score) VALUES (?, ?)",
-            [(i, None) for i in range(1, 6)],
-        )
-        setup.table("items").fill_values("score", {rowid: MISSING for rowid in range(1, 6)})
+        setup.execute("CREATE TABLE items (item_id INTEGER PRIMARY KEY)")
+        setup.executemany("INSERT INTO items (item_id) VALUES (?)", [(i,) for i in range(1, 6)])
+        setup.add_perceptual_column("items", "score", ColumnType.REAL)
         return catalog
 
-    def test_two_connections_with_different_resolvers(self):
+    def _isolated_connection(self, catalog: Catalog, source: ConstantSource) -> Connection:
+        """A session whose crowd answers stay its own: no write-back, private cache."""
+        connection = connect(catalog, policy=AcquisitionPolicy(crowd_write_back=False))
+        connection.set_value_source(source)
+        connection.set_acquisition_runtime(AcquisitionRuntime())
+        return connection
+
+    def test_two_connections_with_different_value_sources(self):
         catalog = self._shared_catalog()
-
-        def resolver_for(value):
-            def resolver(ref, row):
-                return value
-
-            return resolver
-
-        low = Connection(catalog, session=SessionContext(missing_resolver=resolver_for(0.1)))
-        high = Connection(catalog, session=SessionContext(missing_resolver=resolver_for(0.9)))
+        low = self._isolated_connection(catalog, ConstantSource(0.1))
+        high = self._isolated_connection(catalog, ConstantSource(0.9))
         query = "SELECT count(*) FROM items WHERE score > ?"
         assert low.execute(query, (0.5,)).fetchone() == (0,)
         assert high.execute(query, (0.5,)).fetchone() == (5,)
@@ -329,14 +368,13 @@ class TestSessionScopedCrowdContext:
         failures: list[str] = []
 
         def run(value, expected):
-            session = SessionContext(missing_resolver=lambda ref, row: value)
-            connection = Connection(catalog, session=session)
+            connection = self._isolated_connection(catalog, ConstantSource(value))
             for _ in range(50):
                 (count,) = connection.execute(
                     "SELECT count(*) FROM items WHERE score > ?", (0.5,)
                 ).fetchone()
                 if count != expected:
-                    failures.append(f"resolver {value} saw count {count}")
+                    failures.append(f"source {value} saw count {count}")
                     return
 
         threads = [
@@ -379,21 +417,16 @@ class TestSessionScopedCrowdContext:
             thread.join()
         assert errors == []
 
-    def test_slow_missing_resolver_does_not_block_other_connections(self):
-        import time
-
+    def test_slow_value_source_does_not_block_other_connections(self):
         catalog = self._shared_catalog()
-
-        def slow_resolver(ref, row):
-            time.sleep(0.4)  # crowd-sourcing one MISSING cell
-            return 1.0
-
-        resolving = Connection(catalog, session=SessionContext(missing_resolver=slow_resolver))
+        source = ConstantSource(1.0, delay=1.0)
+        acquiring = connect(catalog)
+        acquiring.set_value_source(source)
         probing = Connection(catalog)
         latencies: list[float] = []
 
         def probe():
-            time.sleep(0.2)  # land inside the resolver's crowd time
+            assert source.dispatching.wait(timeout=10.0)  # inside the dispatch
             for _ in range(3):
                 start = time.perf_counter()
                 probing.execute("SELECT count(*) FROM items").fetchone()
@@ -402,9 +435,10 @@ class TestSessionScopedCrowdContext:
 
         threads = [
             threading.Thread(
-                target=lambda: resolving.execute(
+                # fetchone() pulls the stream, which is what runs CrowdFill.
+                target=lambda: acquiring.execute(
                     "SELECT count(*) FROM items WHERE score > ?", (0.5,)
-                )
+                ).fetchone()
             ),
             threading.Thread(target=probe),
         ]
@@ -412,13 +446,12 @@ class TestSessionScopedCrowdContext:
             thread.start()
         for thread in threads:
             thread.join()
-        # Evaluation (where the resolver runs) happens on row copies outside
-        # the catalog lock, so the probing connection must stay fast.
+        # CrowdFill dispatches outside the catalog lock, so the probing
+        # connection's scans must not wait out the 1 s crowd round-trip.
+        assert acquiring.missing_count("items", "score") == 0
         assert latencies and max(latencies) < 0.25
 
     def test_slow_expansion_does_not_block_other_connections(self):
-        import time
-
         catalog = Catalog()
         expanding = Connection(catalog)
         probing = Connection(catalog)
@@ -518,7 +551,7 @@ class TestSessionScopedCrowdContext:
         assert results[0].rows == [("Rocky",)]
 
     def test_budget_exhausted_session(self):
-        session = SessionContext(max_cost=1.0)
+        session = SessionContext(policy=AcquisitionPolicy(max_cost=1.0))
         assert not session.budget_exhausted
         assert session.remaining_budget == 1.0
         session.record_cost(0.6)
@@ -530,6 +563,6 @@ class TestSessionScopedCrowdContext:
     def test_connection_exposes_session(self):
         db = Connection()
         assert isinstance(db.session, SessionContext)
-        resolver = lambda ref, row: 1.0  # noqa: E731
-        db.set_missing_resolver(resolver)
-        assert db.session.missing_resolver is resolver
+        source = ConstantSource(1.0)
+        db.set_value_source(source)
+        assert db.session.value_source is source

@@ -120,6 +120,8 @@ class TestCrashRecoveryMatrix:
         finally:
             process.kill()
             process.wait(timeout=30)
+            process.stdout.close()
+            process.stderr.close()
 
         recovered = repro.connect(path=db_path)
         try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.db.connection import Connection
-from repro.db.types import MISSING, is_missing
+from repro.db.types import is_missing
 from repro.errors import ExecutionError
 
 
@@ -230,17 +230,10 @@ class TestDDL:
         assert "ratings" not in db.table_names()
 
 
-class TestMissingResolution:
-    def test_resolver_fills_value_at_query_time(self, db):
-        def resolver(ref, row):
-            if ref.name == "humor":
-                return 9.0
-            return MISSING
-
-        db.set_missing_resolver(resolver)
-        result = db.run_statement("SELECT name FROM movies WHERE humor >= 8")
-        assert len(result) == 5
-
-    def test_without_resolver_missing_is_unknown(self, db):
-        db.set_missing_resolver(None)
+class TestMissingValues:
+    def test_missing_without_value_source_is_unknown(self, db):
+        # Only CrowdFill/PredictFill fill MISSING cells; a session without a
+        # value source leaves them unknown, so the predicate drops the rows.
+        assert db.session.value_source is None
         assert db.run_statement("SELECT name FROM movies WHERE humor >= 8").rows == []
+        assert db.missing_count("movies", "humor") == 5

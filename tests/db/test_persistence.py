@@ -327,6 +327,8 @@ class TestCrashRecovery:
         finally:
             process.kill()
             process.wait(timeout=30)
+            process.stdout.close()
+            process.stderr.close()
 
         recovered = repro.connect(path=db_path)
         ids = [row[0] for row in recovered.execute("SELECT id FROM t ORDER BY id")]

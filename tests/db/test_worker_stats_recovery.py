@@ -101,6 +101,8 @@ def _run_writer_until_done(db_path: Path) -> dict[int, tuple[float, float]]:
     finally:
         process.kill()
         process.wait(timeout=30)
+        process.stdout.close()
+        process.stderr.close()
     return {
         int(worker_id): (float(correct), float(incorrect))
         for worker_id, (correct, incorrect) in payload.items()

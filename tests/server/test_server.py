@@ -23,7 +23,7 @@ import pytest
 
 import repro
 import repro.client
-from repro.db import Dispatch
+from repro.db import AcquisitionPolicy, Dispatch
 from repro.db.connection import SessionContext
 from repro.db.types import MISSING
 from repro.errors import (
@@ -209,11 +209,12 @@ class TestAdmissionAndLimits:
 class TestCrowdTenancy:
     def _crowd_server(self, source: CountingSource) -> ReproServer:
         def factory(config: TenantConfig) -> SessionContext:
-            session = SessionContext(max_cost=config.max_cost, value_source=source)
             # Keep answers out of storage so the cross-tenant zero-call
             # property is carried by the shared AnswerCache, not write-back.
-            session.crowd_write_back = False
-            return session
+            return SessionContext(
+                value_source=source,
+                policy=AcquisitionPolicy(max_cost=config.max_cost, crowd_write_back=False),
+            )
 
         tenants = [
             TenantConfig(name="alice", max_cost=5.0),
@@ -279,7 +280,8 @@ class TestRuntimeKnobAggregation:
         def factory(config: TenantConfig) -> SessionContext:
             # Explicit per-session knobs that cannot apply once the shared
             # runtime exists: the classic first-caller-wins mismatch.
-            return SessionContext(answer_cache_ttl=60.0 if config.name != "first" else None)
+            ttl = 60.0 if config.name != "first" else None
+            return SessionContext(policy=AcquisitionPolicy(answer_cache_ttl=ttl))
 
         with ReproServer(ServerConfig(port=0), session_factory=factory) as srv:
             first = repro.client.connect(*srv.address, tenant="first")
@@ -335,6 +337,8 @@ class TestGracefulShutdown:
         finally:
             if proc.poll() is None:
                 proc.kill()
+                proc.wait(timeout=30.0)
+            proc.stdout.close()
         # The directory lock is released and every acknowledged statement
         # is on disk: reopening recovers all 20 rows.
         check = repro.connect(path=db_dir)
@@ -347,6 +351,7 @@ class TestGracefulShutdown:
         db_dir = str(tmp_path / "db")
         proc, host, port = self._spawn_serve(db_dir)
         acknowledged = []
+        conn = None
         try:
             conn = repro.client.connect(host, port, tenant="t")
             conn.execute("CREATE TABLE k (v INTEGER)")
@@ -366,8 +371,12 @@ class TestGracefulShutdown:
             t.join(timeout=30.0)
             assert proc.wait(timeout=30.0) == 0
         finally:
+            if conn is not None:
+                conn.close()
             if proc.poll() is None:
                 proc.kill()
+                proc.wait(timeout=30.0)
+            proc.stdout.close()
         check = repro.connect(path=db_dir)
         (count,) = check.execute("SELECT COUNT(*) FROM k").fetchone()
         check.close()
@@ -444,7 +453,8 @@ class TestServedEnumeration:
     def _enumeration_server(self, max_cost: float | None = 5.0) -> ReproServer:
         def factory(config: TenantConfig) -> SessionContext:
             return SessionContext(
-                max_cost=config.max_cost, value_source=self._make_source()
+                value_source=self._make_source(),
+                policy=AcquisitionPolicy(max_cost=config.max_cost),
             )
 
         tenants = [TenantConfig(name="alice", max_cost=max_cost)]
